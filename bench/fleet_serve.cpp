@@ -3,19 +3,14 @@
 // divergence):
 //
 //   1. Bit-identity across thread counts: the completed-session log
-//      (per-slot outputs, checksums) and every deterministic metric are
-//      identical at --threads 1/2/8.
-//   2. Bit-identity across serve-batch modes: cross-session batched
-//      inference (gathering windows from many sessions into per-sensor
-//      GEMM panels, DESIGN.md §15) serves the same bits as the
-//      sequential per-session path.
-//   3. Bit-identity across a snapshot/restore split: serving N ticks,
-//      snapshotting, restoring into a fresh process — under a different
-//      thread count AND serve-batch mode — and serving the rest equals
-//      the uninterrupted run.
+//      (per-slot outputs, checksums), every deterministic metric and the
+//      flight event stream are identical at --threads 1/2/8.
+//   2. Bit-identity across a snapshot/restore split: serving N ticks,
+//      snapshotting, restoring into a fresh process under a different
+//      thread count, and serving the rest equals the uninterrupted run.
 //
-// Reported: sustained users/sec and slots/sec per (serve-batch, threads)
-// cell, the mean GEMM panel occupancy of the batched rows, and p50/p99
+// Reported: sustained users/sec and slots/sec per thread count, the mean
+// cross-session GEMM panel occupancy (DESIGN.md §15), and p50/p99
 // per-slot service latency from the serve.step_seconds histogram.
 //
 // Flags: --users N, --slots N, --arrival-rate R, --shards N, --json PATH.
@@ -55,9 +50,7 @@ RunOutput drain_loop(serve::ServeLoop& loop) {
   out.metrics = loop.metrics();
   out.status = loop.status();
   // Fixed drain chunk above: the flight stream is then a pure function of
-  // the workload and the serve-batch mode, so it must be bit-identical
-  // across thread counts within a mode. (Batched mode emits the same
-  // events in tick-major order, so streams are only compared per mode.)
+  // the workload, so it must be bit-identical across thread counts.
   out.flight = loop.flight_events();
   return out;
 }
@@ -160,108 +153,79 @@ int main(int argc, char** argv) {
     warm.drain(/*chunk=*/32);
   }
 
-  util::AsciiTable table({"serve-batch", "threads", "wall s", "users/s",
-                          "slots/s", "occ", "p50 us", "p99 us"});
+  util::AsciiTable table({"threads", "wall s", "users/s", "slots/s", "occ",
+                          "p50 us", "p99 us"});
   bool ok = true;
-  RunOutput reference;           // serve_batch=0, threads=1: the baseline
-  double best_slots_per_s[2] = {0.0, 0.0};
-  double batched_occupancy = 0.0;
-  for (int serve_batch : {0, 1}) {
-    RunOutput mode_reference;  // threads=1 run of this mode, for flight
-    for (unsigned threads : {1u, 2u, 8u}) {
-      serve::ServeConfig cfg = base;
-      cfg.serve_batch = serve_batch;
-      cfg.threads = threads;
-      // Identity checks use the first run; the reported wall time is the
-      // fastest of --repeat runs (the workload is deterministic, so the
-      // minimum is the least co-tenant-noise estimate).
-      RunOutput out;
-      for (int r = 0; r < std::max(1, repeat); ++r) {
-        serve::ServeLoop loop(experiment, cfg);
-        RunOutput this_run = drain_loop(loop);
-        if (r == 0) {
-          out = std::move(this_run);
-        } else if (this_run.wall_seconds < out.wall_seconds) {
-          out.wall_seconds = this_run.wall_seconds;
-        }
+  RunOutput reference;  // threads=1: the baseline
+  double best_slots_per_s = 0.0;
+  for (unsigned threads : {1u, 2u, 8u}) {
+    serve::ServeConfig cfg = base;
+    cfg.threads = threads;
+    // Identity checks use the first run; the reported wall time is the
+    // fastest of --repeat runs (the workload is deterministic, so the
+    // minimum is the least co-tenant-noise estimate).
+    RunOutput out;
+    for (int r = 0; r < std::max(1, repeat); ++r) {
+      serve::ServeLoop loop(experiment, cfg);
+      RunOutput this_run = drain_loop(loop);
+      if (r == 0) {
+        out = std::move(this_run);
+      } else if (this_run.wall_seconds < out.wall_seconds) {
+        out.wall_seconds = this_run.wall_seconds;
       }
+    }
 
-      const auto* step = out.metrics.find("serve.step_seconds");
-      const auto& cell = out.metrics.histograms[step->slot];
-      out.slots_per_s = static_cast<double>(cell.count) / out.wall_seconds;
-      table.add_row(
-          {serve_batch ? "on" : "off", std::to_string(threads),
-           util::AsciiTable::format(out.wall_seconds, 2),
-           util::AsciiTable::format(
-               static_cast<double>(base.users) / out.wall_seconds, 2),
-           util::AsciiTable::format(out.slots_per_s, 0),
-           serve_batch
-               ? util::AsciiTable::format(out.status.batch_mean_occupancy, 2)
-               : "-",
-           util::AsciiTable::format(
-               1e6 * obs::histogram_quantile(cell, step->upper_bounds, 0.5),
-               1),
-           util::AsciiTable::format(
-               1e6 * obs::histogram_quantile(cell, step->upper_bounds, 0.99),
-               1)});
-      if (out.slots_per_s > best_slots_per_s[serve_batch]) {
-        best_slots_per_s[serve_batch] = out.slots_per_s;
-      }
-      if (serve_batch) batched_occupancy = out.status.batch_mean_occupancy;
+    const auto* step = out.metrics.find("serve.step_seconds");
+    const auto& cell = out.metrics.histograms[step->slot];
+    out.slots_per_s = static_cast<double>(cell.count) / out.wall_seconds;
+    table.add_row(
+        {std::to_string(threads),
+         util::AsciiTable::format(out.wall_seconds, 2),
+         util::AsciiTable::format(
+             static_cast<double>(base.users) / out.wall_seconds, 2),
+         util::AsciiTable::format(out.slots_per_s, 0),
+         util::AsciiTable::format(out.status.batch_mean_occupancy, 2),
+         util::AsciiTable::format(
+             1e6 * obs::histogram_quantile(cell, step->upper_bounds, 0.5), 1),
+         util::AsciiTable::format(
+             1e6 * obs::histogram_quantile(cell, step->upper_bounds, 0.99),
+             1)});
+    best_slots_per_s = std::max(best_slots_per_s, out.slots_per_s);
 
-      if (serve_batch == 0 && threads == 1) {
-        mode_reference = out;
-        reference = std::move(out);
-      } else {
-        if (!same_completed(reference.completed, out.completed)) {
-          std::fprintf(stderr,
-                       "FAIL: completed log diverges at serve-batch=%d "
-                       "threads=%u\n",
-                       serve_batch, threads);
-          ok = false;
-        }
-        if (!obs::MetricsSnapshot::deterministic_equal(reference.metrics,
-                                                       out.metrics)) {
-          std::fprintf(stderr,
-                       "FAIL: deterministic metrics diverge at "
-                       "serve-batch=%d threads=%u\n",
-                       serve_batch, threads);
-          ok = false;
-        }
-        if (threads == 1) {
-          mode_reference = std::move(out);
-        } else if (mode_reference.flight != out.flight) {
-          std::fprintf(stderr,
-                       "FAIL: flight event stream diverges at "
-                       "serve-batch=%d threads=%u\n",
-                       serve_batch, threads);
-          ok = false;
-        }
-      }
+    if (threads == 1) {
+      reference = std::move(out);
+      continue;
+    }
+    if (!same_completed(reference.completed, out.completed)) {
+      std::fprintf(stderr, "FAIL: completed log diverges at threads=%u\n",
+                   threads);
+      ok = false;
+    }
+    if (!obs::MetricsSnapshot::deterministic_equal(reference.metrics,
+                                                   out.metrics)) {
+      std::fprintf(stderr,
+                   "FAIL: deterministic metrics diverge at threads=%u\n",
+                   threads);
+      ok = false;
+    }
+    if (reference.flight != out.flight) {
+      std::fprintf(stderr,
+                   "FAIL: flight event stream diverges at threads=%u\n",
+                   threads);
+      ok = false;
     }
   }
   table.print();
   report.add_table("serving", table);
+  report.manifest().set("slots_per_s", best_slots_per_s);
+  report.manifest().set("batch_mean_occupancy",
+                        reference.status.batch_mean_occupancy);
 
-  const double speedup = best_slots_per_s[0] > 0
-                             ? best_slots_per_s[1] / best_slots_per_s[0]
-                             : 0.0;
-  std::printf("\ncross-session batching: %.0f -> %.0f slots/s "
-              "(%.2fx, mean panel occupancy %.2f)\n",
-              best_slots_per_s[0], best_slots_per_s[1], speedup,
-              batched_occupancy);
-  report.manifest().set("slots_per_s_unbatched", best_slots_per_s[0]);
-  report.manifest().set("slots_per_s_batched", best_slots_per_s[1]);
-  report.manifest().set("serve_batch_speedup", speedup);
-  report.manifest().set("batch_mean_occupancy", batched_occupancy);
-
-  // Snapshot-split check: half the virtual timeline under batched serving,
-  // save, restore into a fresh loop running sequentially (different thread
-  // count AND serve-batch mode on purpose), serve the rest.
+  // Snapshot-split check: half the virtual timeline on 2 threads, save,
+  // restore into a fresh loop on 8 threads, serve the rest.
   const std::string snap_path = "fleet_serve_bench.snap";
   {
     serve::ServeConfig cfg = base;
-    cfg.serve_batch = 1;
     cfg.threads = 2;
     serve::ServeLoop first(experiment, cfg);
     const std::uint64_t half =
@@ -269,7 +233,6 @@ int main(int argc, char** argv) {
     first.tick(half);
     first.save(snap_path);
 
-    cfg.serve_batch = 0;
     cfg.threads = 8;
     serve::ServeLoop second(experiment, cfg);
     second.restore(snap_path);
@@ -279,7 +242,7 @@ int main(int argc, char** argv) {
         same_completed(reference.completed, second.completed_sessions());
     const bool metrics_ok = obs::MetricsSnapshot::deterministic_equal(
         reference.metrics, second.metrics());
-    std::printf("snapshot split at tick %llu (batched -> sequential): "
+    std::printf("snapshot split at tick %llu (2 -> 8 threads): "
                 "completed log %s, deterministic metrics %s\n",
                 static_cast<unsigned long long>(half),
                 log_ok ? "bit-identical" : "DIVERGED",
@@ -294,9 +257,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "fleet_serve: bit-identity check FAILED\n");
     return 1;
   }
-  std::printf("bit-identity: completed logs and deterministic metrics equal "
-              "across serve-batch on/off x threads 1/2/8, flight event "
-              "streams equal within each mode, and the batched->sequential "
-              "snapshot split reproduces the uninterrupted run\n");
+  std::printf("bit-identity: completed logs, deterministic metrics and "
+              "flight event streams equal across threads 1/2/8, and the "
+              "2->8 thread snapshot split reproduces the uninterrupted "
+              "run\n");
   return 0;
 }

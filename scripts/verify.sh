@@ -10,7 +10,7 @@
 #             accuracy number is unchanged.
 #   kernels — inference kernels + fleet concurrency suites (labels nn,
 #             fleet, obs-fleet) in Release and Release+ASan, plus the
-#             simulator's batching bit-identity cases.
+#             simulator's split-phase-vs-fused-step bit-identity cases.
 #   train   — the training-path suite (label `nn`, which includes
 #             test_train_kernels: backward kernels vs the naive oracle,
 #             batched fit vs fit_reference, parallel train_system byte
@@ -25,13 +25,10 @@
 #             Prometheus exposition and flight-recorder routes
 #             (/metrics?format=prom, /trace/recent).
 #   serve   — the serving-subsystem suite (label `serve`: bit-identity
-#             across thread counts and snapshot/restore splits, the HTTP
-#             endpoint) in Release and Release+ASan, each run twice —
-#             under ORIGIN_SERVE_BATCH=0 (sequential per-session
-#             stepping) and =1 (cross-session batched inference,
-#             DESIGN.md §15) — plus an end-to-end smoke: boot
-#             examples/fleet_serve on an ephemeral port and curl the
-#             JSON/JSONL routes.
+#             across thread counts, shard layouts and snapshot/restore
+#             splits, the HTTP endpoint) in Release and Release+ASan,
+#             plus an end-to-end smoke: boot examples/fleet_serve on an
+#             ephemeral port and curl the JSON/JSONL routes.
 #   backends — the kernel-backend dispatch suite (label `backends`:
 #             per-backend golden checksums, cross-backend tolerance grid,
 #             int8-vs-float accuracy gate, serve bit-identity per backend)
@@ -44,9 +41,12 @@
 #             Release and Release+ASan, plus a cold-cache re-run of the
 #             parallel-calibration determinism case against a fresh
 #             ORIGIN_CACHE_DIR.
+#   undefined — the whole test suite built with -fsanitize=undefined and
+#             -fno-sanitize-recover=undefined, so any UB report fails
+#             its test.
 #   all     — everything above (default).
 #
-# Usage: scripts/verify.sh [data|kernels|train|trace|obs|serve|backends|personalize|all] [generator-args...]
+# Usage: scripts/verify.sh [data|kernels|train|trace|obs|serve|backends|personalize|undefined|all] [generator-args...]
 # The data/kernels/train/obs/serve gates share the
 # build-kernels-{release,asan}/ trees so a full `all` run configures each
 # tree once; the trace gate owns build-trace-{on,off}/.
@@ -112,10 +112,11 @@ verify_kernels_config() {
   # `-L 'nn|fleet'` is a regex OR (labels nn, fleet, obs-fleet); repeating
   # -L would intersect.
   ctest --test-dir "$dir" -L 'nn|fleet' --output-on-failure -j "$jobs"
-  # The simulator's batching bit-identity cases are in the unlabeled
-  # simulator suite; run that binary directly in both gates too.
+  # The simulator's split-phase bit-identity cases (the substrate of
+  # cross-session panels) are in the unlabeled simulator suite; run that
+  # binary directly in both gates too.
   "$dir/tests/test_simulator" \
-      --gtest_filter='*Batched*' --gtest_brief=1
+      --gtest_filter='*SplitPhase*' --gtest_brief=1
 }
 
 verify_kernels() {
@@ -229,16 +230,7 @@ verify_serve_config() {
   cmake -B "$dir" -S "$repo" -DORIGIN_SANITIZE="$sanitizer" "$@" >/dev/null
   cmake --build "$dir" -j "$jobs" --target \
       test_serve test_serve_snapshot
-  # Run the suite under both cross-session batching defaults: tests that
-  # pin an explicit serve_batch are unaffected, while everything that
-  # leaves it on auto exercises the batched and the sequential serving
-  # path in turn (DESIGN.md §15).
-  local mode
-  for mode in 0 1; do
-    echo "--- serve suite with ORIGIN_SERVE_BATCH=${mode} ---"
-    ORIGIN_SERVE_BATCH="$mode" \
-        ctest --test-dir "$dir" -L serve --output-on-failure -j "$jobs"
-  done
+  ctest --test-dir "$dir" -L serve --output-on-failure -j "$jobs"
 }
 
 verify_serve() {
@@ -305,6 +297,16 @@ verify_personalize() {
   echo "=== personalization verified (Release + ASan + cold-cache parallel calibration) ==="
 }
 
+verify_undefined() {
+  local dir="build-ubsan"
+  echo "=== undefined: full suite under UBSan (${dir}) ==="
+  cmake -B "$dir" -S "$repo" -DORIGIN_SANITIZE=undefined "$@" >/dev/null
+  cmake --build "$dir" -j "$jobs"
+  UBSAN_OPTIONS=print_stacktrace=1 \
+      ctest --test-dir "$dir" --output-on-failure -j "$jobs"
+  echo "=== undefined behaviour verified (full suite, no UBSan report) ==="
+}
+
 case "$gate" in
   data)    verify_data "$@" ;;
   kernels) verify_kernels "$@" ;;
@@ -314,6 +316,7 @@ case "$gate" in
   serve)   verify_serve "$@" ;;
   backends) verify_backends "$@" ;;
   personalize) verify_personalize "$@" ;;
+  undefined) verify_undefined "$@" ;;
   all)
     verify_data "$@"
     verify_kernels "$@"
@@ -323,10 +326,11 @@ case "$gate" in
     verify_serve "$@"
     verify_backends "$@"
     verify_personalize "$@"
+    verify_undefined "$@"
     echo "=== all verification gates passed ==="
     ;;
   *)
-    echo "usage: scripts/verify.sh [data|kernels|train|trace|obs|serve|backends|personalize|all] [generator-args...]" >&2
+    echo "usage: scripts/verify.sh [data|kernels|train|trace|obs|serve|backends|personalize|undefined|all] [generator-args...]" >&2
     exit 2
     ;;
 esac

@@ -127,7 +127,6 @@ HttpResponse ServeEndpoint::handle(const HttpRequest& request) const {
     w.kv("done", loop_->done());
     w.kv("backend", nn::kernels::active_backend().name);
     w.kv("bits", loop_->config().bits);
-    w.kv("serve_batch", status.serve_batch);
     w.kv("batch_panels", status.batch_panels);
     w.kv("batch_windows", status.batch_windows);
     w.kv("batch_mean_occupancy", status.batch_mean_occupancy);

@@ -3,11 +3,21 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <stdexcept>
 
 namespace origin::serve {
+
+namespace {
+/// How long one client may take to send its request (and to accept the
+/// response). The server handles one connection at a time, so without a
+/// deadline a single idle client would stall every other query and
+/// stop().
+constexpr std::chrono::seconds kClientDeadline{1};
+}  // namespace
 
 std::string status_reason(int status) {
   switch (status) {
@@ -103,10 +113,18 @@ void HttpServer::run() {
 }
 
 void HttpServer::serve_client(int fd) {
+  timeval timeout{};
+  timeout.tv_sec = kClientDeadline.count();
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof timeout);
+  // SO_RCVTIMEO bounds each recv; the overall deadline also bounds a
+  // client that trickles bytes just often enough to reset it.
+  const auto deadline = std::chrono::steady_clock::now() + kClientDeadline;
   std::string request_bytes;
   char buf[2048];
   while (request_bytes.find("\r\n\r\n") == std::string::npos &&
-         request_bytes.size() < 16384) {
+         request_bytes.size() < 16384 &&
+         std::chrono::steady_clock::now() < deadline) {
     const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
     if (n <= 0) break;
     request_bytes.append(buf, static_cast<std::size_t>(n));

@@ -1,7 +1,9 @@
 // Minimal HTTP/1.0 server for the serving process's query surface. One
 // background acceptor thread, blocking per-connection handling (requests
 // are tiny GETs and handlers only copy published state, so concurrency
-// buys nothing), `Connection: close` on every response. Binds loopback
+// buys nothing) under a ~1 s per-client deadline, so an idle client
+// cannot stall other queries or stop(), and `Connection: close` on every
+// response. Binds loopback
 // only; port 0 asks the kernel for an ephemeral port (`port()` reports
 // the choice), which is what the tests and the CI smoke use.
 #pragma once

@@ -110,15 +110,6 @@ std::uint64_t Personalizer::serialized_bytes(
   return bytes;
 }
 
-std::uint64_t Personalizer::after_step(
-    PersonalizeState& state, std::uint64_t seed_offset,
-    const sim::SlotStepper::StepOutcome& outcome, data::SlotSource& source,
-    std::array<nn::Sequential, data::kNumSensors>& models) {
-  buffer_step(state, outcome, source);
-  if (!fit_due(state, outcome)) return 0;
-  return run_fit(state, seed_offset, models);
-}
-
 void Personalizer::buffer_step(PersonalizeState& state,
                                const sim::SlotStepper::StepOutcome& outcome,
                                data::SlotSource& source) {

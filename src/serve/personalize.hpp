@@ -78,7 +78,7 @@ struct PersonalizeState {
 /// Shard-owned fine-tuning engine: keeps the pristine base copies of the
 /// deployed nets, their fingerprints, the trainable-tail masks and the
 /// per-fit energy price. One per shard; sessions of the shard share it
-/// one at a time (the shard serves sessions sequentially).
+/// one at a time (the shard completes its sessions' slots in order).
 class Personalizer {
  public:
   Personalizer(const sim::Experiment& experiment,
@@ -89,29 +89,22 @@ class Personalizer {
 
   /// Loads session `id`'s personalized weights into the shard scratch
   /// (base + dequantized delta), skipping the copy when the scratch
-  /// already holds them. Call before serving a session's ticks.
+  /// already holds them. Call before a dirty session's panel or fit.
   void load(const PersonalizeState& state, std::uint64_t id,
             std::array<nn::Sequential, data::kNumSensors>& models);
 
   /// Restores the pristine base weights into the shard scratch (no-op
-  /// when it is already clean). The cross-session batched path serves
+  /// when it is already clean). The shard serves
   /// every clean (empty-delta) session from one shared base panel, so it
   /// loads base once per tick instead of once per session.
   void load_base(std::array<nn::Sequential, data::kNumSensors>& models);
 
-  /// Post-step hook: buffers the slot's windows when the fused output
-  /// matched ground truth, and runs a budgeted micro-fit on the cadence.
-  /// `models` must currently hold this session's weights (see load()).
-  /// Returns the optimizer steps consumed (0 when no fit ran).
-  /// Equivalent to buffer_step + (fit_due ? run_fit : 0) — the batched
-  /// serve path calls the pieces so it can defer the (possibly redundant)
-  /// load() until a fit is actually due.
-  std::uint64_t after_step(PersonalizeState& state, std::uint64_t seed_offset,
-                           const sim::SlotStepper::StepOutcome& outcome,
-                           data::SlotSource& source,
-                           std::array<nn::Sequential, data::kNumSensors>& models);
-
-  /// The buffering half of after_step (needs no model weights).
+  /// Post-step hooks, called in this order after every served slot:
+  /// buffer_step, then — only if fit_due — load() and run_fit. The split
+  /// defers the (possibly redundant) load() until a fit is actually due.
+  ///
+  /// Buffers the slot's windows when the fused output matched ground
+  /// truth (needs no model weights).
   void buffer_step(PersonalizeState& state,
                    const sim::SlotStepper::StepOutcome& outcome,
                    data::SlotSource& source);
@@ -120,7 +113,7 @@ class Personalizer {
   /// touching the scratch.
   bool fit_due(const PersonalizeState& state,
                const sim::SlotStepper::StepOutcome& outcome) const;
-  /// The fit half of after_step. `models` must hold this session's
+  /// Runs a budgeted micro-fit. `models` must hold this session's
   /// weights (load() first). Returns the optimizer steps consumed.
   std::uint64_t run_fit(PersonalizeState& state, std::uint64_t seed_offset,
                         std::array<nn::Sequential, data::kNumSensors>& models);

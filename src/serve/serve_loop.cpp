@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "data/user_profile.hpp"
@@ -16,13 +15,6 @@ double seconds_since(std::chrono::steady_clock::time_point begin) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        begin)
       .count();
-}
-
-bool resolve_serve_batch(int configured) {
-  if (configured >= 0) return configured != 0;
-  const char* env = std::getenv("ORIGIN_SERVE_BATCH");
-  if (env != nullptr && env[0] == '0' && env[1] == '\0') return false;
-  return true;  // default on
 }
 }  // namespace
 
@@ -40,24 +32,16 @@ ServeLoop::ServeLoop(const sim::Experiment& experiment, ServeConfig config)
   if (config_.shards == 0) {
     throw std::invalid_argument("ServeLoop: shards == 0");
   }
-  if (config_.batch_slots > config_.ring_capacity) {
-    throw std::invalid_argument(
-        "ServeLoop: batch_slots exceeds ring_capacity");
+  if (config_.batch_slots != 0) {
+    throw std::invalid_argument("ServeLoop: batch_slots must be 0");
   }
   if (config_.bits != 32 && (config_.bits < 2 || config_.bits > 8)) {
     throw std::invalid_argument("ServeLoop: bits must be 32 or in [2, 8]");
   }
-  if (config_.personalize.enabled) {
-    if (config_.bits != 32) {
-      throw std::invalid_argument(
-          "ServeLoop: personalize requires bits == 32 — fine-tuning trains "
-          "float weights, which int8 model copies would not serve");
-    }
-    if (config_.batch_slots != 0) {
-      throw std::invalid_argument(
-          "ServeLoop: personalize requires batch_slots == 0 — block "
-          "classification caches would serve pre-fine-tune outputs");
-    }
+  if (config_.personalize.enabled && config_.bits != 32) {
+    throw std::invalid_argument(
+        "ServeLoop: personalize requires bits == 32 — fine-tuning trains "
+        "float weights, which int8 model copies would not serve");
   }
 
   admitted_id_ = registry_.add_counter("serve.sessions.admitted");
@@ -71,11 +55,10 @@ ServeLoop::ServeLoop(const sim::Experiment& experiment, ServeConfig config)
   fine_tune_steps_id_ = registry_.add_counter("serve.fine_tune_steps");
   // Cross-session batching stats. Thread-invariant (panel composition is
   // a pure function of the virtual timeline) but NOT deterministic in the
-  // registry sense: they depend on the serve_batch and batch_slots
-  // execution knobs, which the bit-identity contract ranges over — two
-  // runs of one workload must compare equal on deterministic metrics even
-  // when one batched and the other did not. Snapshots still persist them
-  // (v4) so /status stays continuous across a restore.
+  // registry sense: they depend on how sessions share shards, while the
+  // bit-identity contract says the same sessions produce the same results
+  // whether they share a panel or sit alone in one. Snapshots still
+  // persist them so /status stays continuous across a restore.
   batch_panels_id_ =
       registry_.add_counter("serve.batch_panels", /*deterministic=*/false);
   batch_windows_id_ =
@@ -94,12 +77,10 @@ ServeLoop::ServeLoop(const sim::Experiment& experiment, ServeConfig config)
   det_metrics_ = registry_.make_shard();
   loop_wall_metrics_ = registry_.make_shard();
 
-  serve_batch_ = resolve_serve_batch(config_.serve_batch);
   shards_.reserve(config_.shards);
   for (std::size_t i = 0; i < config_.shards; ++i) {
     shards_.push_back(std::make_unique<SessionShard>(
-        experiment, config_.set, config_.bits, config_.personalize,
-        serve_batch_));
+        experiment, config_.set, config_.bits, config_.personalize));
     shards_.back()->set_wall_metrics(registry_.make_shard());
   }
   if (obs::kTraceEnabled && config_.flight_capacity > 0) {
@@ -141,7 +122,7 @@ Session& ServeLoop::admit_session(std::uint64_t id) {
   SessionShard& shard = *shards_[id % config_.shards];
   shard.admit(std::make_unique<Session>(*experiment_, make_spec(id),
                                         shard.models(), config_.ring_capacity,
-                                        config_.batch_slots, config_.trace));
+                                        /*batch_slots=*/0, config_.trace));
   const Session& session = *shard.active().back();
   // Admission is serial (id order), so these events are deterministic; a
   // snapshot restore re-fires them — the flight ring is process-local
@@ -284,7 +265,6 @@ void ServeLoop::rebuild_published_locked() {
   status_.active = active;
   status_.completed = static_cast<std::uint64_t>(completed_.size());
   status_.slots_served = det_metrics_.counter(slots_id_);
-  status_.serve_batch = serve_batch_;
   status_.batch_panels = det_metrics_.counter(batch_panels_id_);
   status_.batch_windows = det_metrics_.counter(batch_windows_id_);
   status_.batch_mean_occupancy =

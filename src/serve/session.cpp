@@ -1,5 +1,7 @@
 #include "serve/session.hpp"
 
+#include <stdexcept>
+
 namespace origin::serve {
 
 Session::Session(const sim::Experiment& experiment, SessionSpec spec,
@@ -14,9 +16,12 @@ Session::Session(const sim::Experiment& experiment, SessionSpec spec,
                &cursor_,
                [&] {
                  sim::SimulatorConfig config = experiment.sim_config();
-                 config.batch_slots = batch_slots;
                  config.trace = trace;
                  return config;
-               }()) {}
+               }()) {
+  if (batch_slots != 0) {
+    throw std::invalid_argument("Session: batch_slots must be 0");
+  }
+}
 
 }  // namespace origin::serve

@@ -37,7 +37,8 @@ class Session {
   /// (optional) receives the stepper's slot-level ORIGIN_TRACE events —
   /// the same energy/schedule/attempt/output stream the batch simulator
   /// emits; it must be thread-safe when shards serve in parallel
-  /// (obs::TraceRecorder is).
+  /// (obs::TraceRecorder is). `batch_slots` must be 0; it remains only
+  /// because perfbench/src/serve_workloads.cpp still passes it.
   Session(const sim::Experiment& experiment, SessionSpec spec,
           std::array<nn::Sequential, data::kNumSensors>* models,
           int ring_capacity, int batch_slots,

@@ -27,13 +27,11 @@ std::uint64_t fnv1a_outputs(const std::vector<int>& outputs) {
 
 SessionShard::SessionShard(const sim::Experiment& experiment,
                            sim::ModelSet set, int bits,
-                           const PersonalizeConfig& personalize,
-                           bool serve_batch)
+                           const PersonalizeConfig& personalize)
     : models_(set == sim::ModelSet::Relaxed
                   ? experiment.system().relaxed_copy()
                   : experiment.system().bl2_copy()),
-      slot_s_(experiment.spec().slot_seconds()),
-      serve_batch_(serve_batch) {
+      slot_s_(experiment.spec().slot_seconds()) {
   if (bits != 32) {
     for (nn::Sequential& model : models_) model.set_inference_bits(bits);
   }
@@ -46,15 +44,6 @@ SessionShard::SessionShard(const sim::Experiment& experiment,
 void SessionShard::admit(std::unique_ptr<Session> session) {
   if (personalizer_) session->enable_personalize();
   active_.push_back(std::move(session));
-}
-
-void SessionShard::serve_ticks(std::uint64_t from, std::uint64_t to,
-                               obs::MetricId step_seconds) {
-  if (serve_batch_) {
-    serve_ticks_batched(from, to, step_seconds);
-  } else {
-    serve_ticks_sequential(from, to, step_seconds);
-  }
 }
 
 void SessionShard::capture_nvp_before(const Session& session,
@@ -82,9 +71,8 @@ void SessionShard::finish_step(Session& session, const PendingStep& item,
     PersonalizeState& state = *session.personalize();
     personalizer_->buffer_step(state, out, session.stepper().source());
     if (personalizer_->fit_due(state, out)) {
-      // The scratch may hold another session's weights (or base) after a
-      // batched panel pass — re-target it before the fit. load() is a
-      // no-op on the sequential path, which loads at the chunk start.
+      // The scratch may hold another session's weights (or base) after
+      // the panel pass — re-target it before the fit.
       personalizer_->load(state, spec.id, models_);
       const std::uint64_t steps =
           personalizer_->run_fit(state, spec.seed_offset, models_);
@@ -177,53 +165,15 @@ void SessionShard::complete_session(Session& session,
   round_completed_.push_back(std::move(done));
 }
 
-void SessionShard::serve_ticks_sequential(std::uint64_t from, std::uint64_t to,
-                                          obs::MetricId step_seconds) {
-  for (auto& session : active_) {
-    const SessionSpec& spec = session->spec();
-    std::uint64_t tick = std::max(spec.arrival_tick, from);
-    std::uint64_t last_tick = tick;
-    if (personalizer_ && tick < to && !session->done()) {
-      // Re-target the shard scratch at this session's personalized
-      // weights before its first step of the round.
-      personalizer_->load(*session->personalize(), spec.id, models_);
-    }
-    while (tick < to && !session->done()) {
-      PendingStep item;
-      item.session = session.get();
-      capture_nvp_before(*session, item);
-      const auto begin = steady_clock::now();
-      requests_.clear();
-      results_.clear();
-      session->stepper().step_begin(requests_);
-      item.req_end = requests_.size();
-      // One forward pass per request on the session's (already loaded)
-      // weights — exactly what the fused SlotStepper::step computes.
-      for (const auto& request : requests_) {
-        results_.push_back(net::make_classification(
-            models_[static_cast<std::size_t>(request.sensor)].predict_proba(
-                *request.window)));
-      }
-      finish_step(*session, item, tick);
-      wall_metrics_.observe(step_seconds, seconds_since(begin));
-      last_tick = tick;
-      ++tick;
-    }
-    if (session->done()) complete_session(*session, last_tick);
-  }
-  std::erase_if(active_,
-                [](const std::unique_ptr<Session>& s) { return s->done(); });
-}
-
-void SessionShard::serve_ticks_batched(std::uint64_t from, std::uint64_t to,
-                                       obs::MetricId step_seconds) {
+void SessionShard::serve_ticks(std::uint64_t from, std::uint64_t to,
+                               obs::MetricId step_seconds) {
   // Tick-outer: at each virtual tick, gather every ready window across
   // the shard's sessions (phase A), classify them in per-(delta-group,
   // sensor) panels (phase B), then complete each session's slot in
   // admission order (phase C). Sessions are independent and classification
   // is a pure function of (model, window), so per-session results are
-  // bit-identical to the sequential path — only the number of forward
-  // passes changes (DESIGN.md §15).
+  // bit-identical to the fused SlotStepper::step() — only the number of
+  // forward passes changes (DESIGN.md §15).
   for (std::uint64_t tick = from; tick < to; ++tick) {
     const auto begin = steady_clock::now();
     requests_.clear();
@@ -246,8 +196,8 @@ void SessionShard::serve_ticks_batched(std::uint64_t from, std::uint64_t to,
       finish_step(*item.session, item, tick);
       if (item.session->done()) complete_session(*item.session, tick);
     }
-    // One observation per served slot, like the sequential path — the
-    // tick's gather/classify/scatter wall time amortized over its slots.
+    // One observation per served slot: the tick's gather/classify/scatter
+    // wall time amortized over its slots.
     const double per_slot =
         seconds_since(begin) / static_cast<double>(pending_.size());
     for (std::size_t i = 0; i < pending_.size(); ++i) {

@@ -79,22 +79,19 @@ class SessionShard {
   /// `bits` != 32 switches the copies to the int8 serving path
   /// (Sequential::set_inference_bits). When `personalize.enabled`, the
   /// shard also keeps pristine base copies and a Personalizer, and its
-  /// model scratch is re-targeted per session (base + session delta)
-  /// before that session's ticks. `serve_batch` selects cross-session
-  /// batched classification in serve_ticks (DESIGN.md §15): never affects
-  /// results, only how many forward passes compute them.
+  /// model scratch is re-targeted per delta-group before each panel.
   SessionShard(const sim::Experiment& experiment, sim::ModelSet set,
-               int bits = 32, const PersonalizeConfig& personalize = {},
-               bool serve_batch = false);
+               int bits = 32, const PersonalizeConfig& personalize = {});
 
   std::array<nn::Sequential, data::kNumSensors>* models() { return &models_; }
 
   void admit(std::unique_ptr<Session> session);
 
   /// Serves every admitted session one slot per tick over [from, to)
-  /// (sessions arriving inside the window start at their arrival tick).
-  /// Appends served slots and completions to the round logs and evicts
-  /// completed sessions. `step_seconds` is observed per slot into
+  /// (sessions arriving inside the window start at their arrival tick),
+  /// classifying each tick's windows in cross-session panels (DESIGN.md
+  /// §15). Appends served slots and completions to the round logs and
+  /// evicts completed sessions. `step_seconds` is observed per slot into
   /// `wall_metrics()` (wall-clock — never deterministic).
   void serve_ticks(std::uint64_t from, std::uint64_t to,
                    obs::MetricId step_seconds);
@@ -125,8 +122,6 @@ class SessionShard {
     round_batch_occupancy_.clear();
   }
 
-  bool serve_batch() const { return serve_batch_; }
-
   Personalizer* personalizer() { return personalizer_.get(); }
 
   obs::MetricsShard& wall_metrics() { return wall_metrics_; }
@@ -149,9 +144,9 @@ class SessionShard {
   }
 
  private:
-  /// One session's stake in the current tick of the batched path: the
-  /// range of classify requests its step_begin appended, plus the flight
-  /// recorder's before-counters (probes advance NVP state in phase A).
+  /// One session's stake in the current tick: the range of classify
+  /// requests its step_begin appended, plus the flight recorder's
+  /// before-counters (probes advance NVP state in phase A).
   struct PendingStep {
     Session* session = nullptr;
     std::size_t req_begin = 0;
@@ -160,10 +155,6 @@ class SessionShard {
     std::array<std::uint64_t, data::kNumSensors> nvp_restores_before{};
   };
 
-  void serve_ticks_sequential(std::uint64_t from, std::uint64_t to,
-                              obs::MetricId step_seconds);
-  void serve_ticks_batched(std::uint64_t from, std::uint64_t to,
-                           obs::MetricId step_seconds);
   /// Phase B: classifies every gathered request into results_, one
   /// per-sensor panel per delta-group (shared base panel for clean
   /// sessions; per-session panels for ones carrying a non-identity delta).
@@ -172,7 +163,7 @@ class SessionShard {
   /// weights currently loaded in models_.
   void run_panel_group(const PendingStep* items, std::size_t item_count);
   /// Phase C per-session completion: step_finish + personalize + flight +
-  /// the slot record (mirrors one sequential-path loop body).
+  /// the slot record.
   void finish_step(Session& session, const PendingStep& item,
                    std::uint64_t tick);
   /// Eviction record + flight session_end for a finished session.
@@ -193,9 +184,8 @@ class SessionShard {
   obs::FlightLog* flight_ = nullptr;
   int shard_index_ = 0;
   double slot_s_ = 0.0;  // virtual seconds per tick (flight timestamps)
-  bool serve_batch_ = false;
 
-  // Batched-path scratch, reused across ticks (no steady-state allocs):
+  // Tick scratch, reused across ticks (no steady-state allocs):
   // the gathered requests/results of the current tick and the per-panel
   // gather buffers.
   std::vector<sim::SlotStepper::ClassifyRequest> requests_;

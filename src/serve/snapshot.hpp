@@ -1,8 +1,8 @@
 // Binary codec primitives for ServeLoop snapshots (implementation of
 // ServeLoop::save/restore lives in snapshot.cpp). Format: little-endian,
 // versioned, with an explicit config fingerprint — a snapshot taken under
-// one workload config refuses to load into another, while thread count
-// and batching (which never affect results) are free to differ. Files are
+// one workload config refuses to load into another, while the thread
+// count (which never affects results) is free to differ. Files are
 // written atomically: `<path>.tmp.<pid>` then rename, like the model
 // cache, so a crash mid-save never corrupts the previous snapshot.
 #pragma once
@@ -30,9 +30,10 @@ inline constexpr char kSnapshotMagic[8] = {'O', 'R', 'G', 'N',
 /// serve.batch_windows counters and the serve.batch_occupancy histogram
 /// cell), carried wholesale so /status stays continuous across a restore
 /// — unlike the deterministic metrics, they cannot be replayed from the
-/// completed log. The serve_batch mode itself stays out of the
-/// fingerprint (it never affects results).
-inline constexpr std::uint32_t kSnapshotVersion = 4;
+/// completed log.
+/// Version 5 dropped the per-node precomputed eager-task result, which
+/// only the removed per-session block cache ever set.
+inline constexpr std::uint32_t kSnapshotVersion = 5;
 
 /// Append-only little-endian byte buffer.
 class SnapshotWriter {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 namespace origin::core {
 namespace {
 
@@ -94,10 +96,12 @@ class MajorityProperty : public ::testing::TestWithParam<int> {};
 TEST_P(MajorityProperty, WinnerHasMaximalCount) {
   const int seed = GetParam();
   std::vector<Ballot> ballots;
-  int x = seed;
+  // Unsigned arithmetic wraps where the signed form would overflow; the
+  // mask keeps the same 31-bit values, so the ballots are unchanged.
+  auto x = static_cast<std::uint32_t>(seed);
   for (int i = 0; i < 5; ++i) {
-    x = (x * 1103515245 + 12345) & 0x7fffffff;
-    ballots.push_back({x % 6, 1.0, static_cast<double>(i)});
+    x = (x * 1103515245u + 12345u) & 0x7fffffffu;
+    ballots.push_back({static_cast<int>(x % 6), 1.0, static_cast<double>(i)});
   }
   const int winner = majority_vote(ballots, 6).value();
   std::vector<int> counts(6, 0);

@@ -394,13 +394,17 @@ TEST_F(PersonalizeTest, FineTuneBitIdenticalWithCrossSessionBatching) {
   // batched gather must split them out of the shared base panel (or
   // serve them one-by-one under their own weights). Either way the
   // served bits — outputs, fine-tune counts, delta bytes, joules — must
-  // match the sequential path exactly.
+  // match the sequential computation exactly. The reference serves the
+  // same workload with shards >= users, so every session sits alone in
+  // its shard and every panel holds one window.
   ServeConfig cfg = tuned_config();
-  cfg.serve_batch = 0;
-  ServeLoop sequential(*experiment_, cfg);
-  sequential.drain(/*chunk=*/5);
-  const auto ref_log = sequential.completed_sessions();
-  const auto ref_metrics = sequential.metrics();
+  ServeConfig solo_cfg = cfg;
+  solo_cfg.shards = cfg.users;
+  ServeLoop solo(*experiment_, solo_cfg);
+  solo.drain(/*chunk=*/5);
+  const auto ref_log = solo.completed_sessions();
+  const auto ref_metrics = solo.metrics();
+  EXPECT_EQ(solo.status().batch_windows, solo.status().batch_panels);
   std::uint64_t total_tunes = 0;
   for (const auto& c : ref_log) total_tunes += c.fine_tunes;
   ASSERT_GT(total_tunes, 0u);  // the run must actually fine-tune
@@ -408,12 +412,20 @@ TEST_F(PersonalizeTest, FineTuneBitIdenticalWithCrossSessionBatching) {
   for (unsigned threads : {1u, 2u, 8u}) {
     SCOPED_TRACE(threads);
     ServeConfig b_cfg = cfg;
-    b_cfg.serve_batch = 1;
     b_cfg.threads = threads;
     ServeLoop loop(*experiment_, b_cfg);
     loop.drain(/*chunk=*/5);
     EXPECT_GT(loop.status().batch_panels, 0u);
-    expect_same_completed(loop.completed_sessions(), ref_log);
+    const auto log = loop.completed_sessions();
+    expect_same_completed(log, ref_log);
+    for (std::size_t i = 0; i < log.size(); ++i) {
+      SCOPED_TRACE(i);
+      EXPECT_EQ(log[i].arrival_tick, ref_log[i].arrival_tick);
+      EXPECT_EQ(log[i].slots, ref_log[i].slots);
+      EXPECT_EQ(log[i].success_rate, ref_log[i].success_rate);
+      EXPECT_EQ(log[i].harvested_j, ref_log[i].harvested_j);
+      EXPECT_EQ(log[i].consumed_j, ref_log[i].consumed_j);
+    }
     EXPECT_TRUE(obs::MetricsSnapshot::deterministic_equal(loop.metrics(),
                                                           ref_metrics));
   }
@@ -477,10 +489,6 @@ TEST_F(PersonalizeTest, SnapshotFingerprintCoversPersonalizeConfig) {
 TEST_F(PersonalizeTest, PersonalizeConstraintsValidated) {
   ServeConfig cfg = tuned_config();
   cfg.bits = 8;
-  EXPECT_THROW(ServeLoop(*experiment_, cfg), std::invalid_argument);
-
-  cfg = tuned_config();
-  cfg.batch_slots = 4;
   EXPECT_THROW(ServeLoop(*experiment_, cfg), std::invalid_argument);
 
   cfg = tuned_config();

@@ -180,7 +180,6 @@ TEST_F(SensorNodeTest, ProbeAndResolveMatchFusedAttempt) {
   const auto probe = split.probe_wait_compute(window_);
   ASSERT_TRUE(probe.completed);
   ASSERT_EQ(probe.classify, &window_);
-  EXPECT_FALSE(probe.ready.has_value());
   const auto resolved = split.resolve(probe);
   ASSERT_TRUE(direct.has_value());
   ASSERT_TRUE(resolved.has_value());
@@ -200,20 +199,6 @@ TEST_F(SensorNodeTest, IncompleteProbeResolvesToNothing) {
   EXPECT_EQ(probe.classify, nullptr);
   EXPECT_FALSE(node.resolve(probe).has_value());
   EXPECT_EQ(node.counters().skipped_no_energy, 1u);
-}
-
-TEST_F(SensorNodeTest, PrecomputedProbeCarriesResultWithoutClassify) {
-  SensorNodeConfig cfg;
-  cfg.initial_charge = 1.0;
-  auto node = make_node(cfg);
-  const Classification canned = node.classify(window_);
-  const auto probe = node.probe_deadline(window_, 0.1, &canned);
-  ASSERT_TRUE(probe.completed);
-  EXPECT_EQ(probe.classify, nullptr);  // nothing left to compute
-  ASSERT_TRUE(probe.ready.has_value());
-  const auto resolved = node.resolve(probe);
-  ASSERT_TRUE(resolved.has_value());
-  EXPECT_EQ(resolved->probs, canned.probs);
 }
 
 TEST_F(SensorNodeTest, EagerProbeCompletionPinsTheOriginalWindow) {

@@ -11,7 +11,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
+#include <future>
 #include <stdexcept>
+#include <thread>
 
 #include "fleet/fleet_runner.hpp"
 #include "serve/endpoint.hpp"
@@ -175,21 +178,18 @@ TEST_F(ServeTest, CompletedSessionsMatchBatchFleetRun) {
 }
 
 TEST_F(ServeTest, BitIdenticalAcrossThreadCountsAndBatching) {
-  const auto run = [&](unsigned threads, int batch_slots) {
+  const auto run = [&](unsigned threads) {
     ServeConfig cfg = small_config();
     cfg.threads = threads;
-    cfg.batch_slots = batch_slots;
     ServeLoop loop(*experiment_, cfg);
     loop.drain(/*chunk=*/7);
     return std::pair(loop.completed_sessions(), loop.metrics());
   };
-  const auto [base_log, base_metrics] = run(1, 0);
+  const auto [base_log, base_metrics] = run(1);
   ASSERT_EQ(base_log.size(), small_config().users);
-  for (const auto& [threads, batch] :
-       std::vector<std::pair<unsigned, int>>{{2, 0}, {8, 0}, {2, 16}}) {
+  for (unsigned threads : {2u, 8u}) {
     SCOPED_TRACE(threads);
-    SCOPED_TRACE(batch);
-    const auto [log, metrics] = run(threads, batch);
+    const auto [log, metrics] = run(threads);
     ASSERT_EQ(log.size(), base_log.size());
     for (std::size_t i = 0; i < log.size(); ++i) {
       EXPECT_EQ(log[i].id, base_log[i].id);
@@ -199,17 +199,28 @@ TEST_F(ServeTest, BitIdenticalAcrossThreadCountsAndBatching) {
     }
     EXPECT_TRUE(obs::MetricsSnapshot::deterministic_equal(base_metrics, metrics));
   }
+  // Cross-session panels are the only batching; the per-session block
+  // cache is gone and its leftover knob accepts nothing but 0.
+  ServeConfig blocked = small_config();
+  blocked.batch_slots = 4;
+  EXPECT_THROW(ServeLoop(*experiment_, blocked), std::invalid_argument);
+  auto models = experiment_->system().bl2_copy();
+  EXPECT_THROW(Session(*experiment_, SessionSpec{}, &models,
+                       blocked.ring_capacity, /*batch_slots=*/4),
+               std::invalid_argument);
 }
 
 TEST_F(ServeTest, CrossSessionBatchingBitIdentical) {
-  // The tentpole contract: gathering the windows of many sessions into
-  // per-sensor GEMM panels must not change one published byte. Compare a
-  // sequential (serve_batch=0) baseline against the batched path at
-  // threads 1/2/8, with the flight recorder on and off.
-  const auto run = [&](int serve_batch, unsigned threads,
+  // Gathering the windows of many sessions into per-sensor GEMM panels
+  // must not change one published byte. The reference serves the same
+  // workload with shards >= users: every session sits alone in its shard,
+  // so every panel holds one window — the sequential computation. Compare
+  // it against the shared-panel default at threads 1/2/8, with the flight
+  // recorder on and off.
+  const auto run = [&](std::size_t shards, unsigned threads,
                        std::size_t flight_capacity) {
     ServeConfig cfg = small_config();
-    cfg.serve_batch = serve_batch;
+    cfg.shards = shards;
     cfg.threads = threads;
     cfg.flight_capacity = flight_capacity;
     ServeLoop loop(*experiment_, cfg);
@@ -217,23 +228,28 @@ TEST_F(ServeTest, CrossSessionBatchingBitIdentical) {
     return std::tuple(loop.completed_sessions(), loop.metrics(),
                       loop.status());
   };
-  const auto [base_log, base_metrics, base_status] = run(0, 1, 1 << 12);
-  ASSERT_EQ(base_log.size(), small_config().users);
-  EXPECT_FALSE(base_status.serve_batch);
-  EXPECT_EQ(base_status.batch_panels, 0u);  // sequential path: no panels
+  const std::size_t users = small_config().users;
+  const auto [base_log, base_metrics, base_status] = run(users, 1, 1 << 12);
+  ASSERT_EQ(base_log.size(), users);
+  EXPECT_GT(base_status.batch_panels, 0u);
+  EXPECT_EQ(base_status.batch_windows, base_status.batch_panels);
   for (unsigned threads : {1u, 2u, 8u}) {
     for (std::size_t flight_capacity : {std::size_t{0}, std::size_t{1} << 12}) {
       SCOPED_TRACE(threads);
       SCOPED_TRACE(flight_capacity);
-      const auto [log, metrics, status] = run(1, threads, flight_capacity);
-      EXPECT_TRUE(status.serve_batch);
+      const auto [log, metrics, status] =
+          run(small_config().shards, threads, flight_capacity);
       EXPECT_GT(status.batch_panels, 0u);
-      EXPECT_GE(status.batch_windows, status.batch_panels);
+      // Sharing shards packs more than one window into some panel.
+      EXPECT_GT(status.batch_windows, status.batch_panels);
+      EXPECT_EQ(status.batch_windows, base_status.batch_windows);
       ASSERT_EQ(log.size(), base_log.size());
       for (std::size_t i = 0; i < log.size(); ++i) {
         SCOPED_TRACE(i);
         EXPECT_EQ(log[i].id, base_log[i].id);
+        EXPECT_EQ(log[i].arrival_tick, base_log[i].arrival_tick);
         EXPECT_EQ(log[i].completed_tick, base_log[i].completed_tick);
+        EXPECT_EQ(log[i].slots, base_log[i].slots);
         EXPECT_EQ(log[i].outputs, base_log[i].outputs);
         EXPECT_EQ(log[i].outputs_fnv1a, base_log[i].outputs_fnv1a);
         EXPECT_EQ(log[i].accuracy, base_log[i].accuracy);
@@ -375,6 +391,65 @@ TEST_F(ServeTest, HttpServerSocketSmoke) {
   EXPECT_NE(response.find("HTTP/1.0 200 OK"), std::string::npos);
   EXPECT_NE(response.find("\"status\":\"ok\""), std::string::npos);
   server->stop();
+}
+
+TEST_F(ServeTest, HttpServerIdleClientDoesNotStallQueriesOrStop) {
+  ServeConfig cfg = small_config();
+  ServeLoop loop(*experiment_, cfg);
+  loop.tick(2);
+  ServeEndpoint endpoint(loop);
+  std::unique_ptr<HttpServer> server;
+  try {
+    server = endpoint.serve(/*port=*/0);
+  } catch (const std::runtime_error&) {
+    GTEST_SKIP() << "cannot bind a loopback socket in this environment";
+  }
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(server->port());
+  const auto connect_client = [&] {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    EXPECT_GE(fd, 0);
+    // A regression must fail the test, not hang it.
+    timeval timeout{};
+    timeout.tv_sec = 10;
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+    EXPECT_EQ(
+        ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr),
+        0);
+    return fd;
+  };
+
+  // An idle client connects first and never sends a byte...
+  const int idle = connect_client();
+  // ...yet a health check queued behind it still gets its answer.
+  const int fd = connect_client();
+  const std::string request = "GET /healthz HTTP/1.0\r\n\r\n";
+  ASSERT_EQ(::send(fd, request.data(), request.size(), 0),
+            static_cast<ssize_t>(request.size()));
+  std::string response;
+  char buf[1024];
+  ssize_t n;
+  while ((n = ::recv(fd, buf, sizeof buf, 0)) > 0) {
+    response.append(buf, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  EXPECT_NE(response.find("HTTP/1.0 200 OK"), std::string::npos);
+
+  // stop() returns while another idle client holds a connection open
+  // (the acceptor polls every 200 ms, so it is inside that client by now).
+  const int idle_at_stop = connect_client();
+  std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  auto stopped = std::async(std::launch::async, [&] { server->stop(); });
+  const bool prompt = stopped.wait_for(std::chrono::seconds(5)) ==
+                      std::future_status::ready;
+  // Hanging up releases a server that is still blocked on the idle
+  // clients, so a regression fails here instead of hanging the suite.
+  ::close(idle);
+  ::close(idle_at_stop);
+  stopped.get();
+  EXPECT_TRUE(prompt) << "stop() blocked behind an idle client";
 }
 
 }  // namespace

@@ -266,38 +266,46 @@ TEST_F(ServeSnapshotTest, CorruptAndTruncatedFilesRejected) {
 }
 
 TEST_F(ServeSnapshotTest, ServeBatchModeFreeAcrossRestore) {
-  // serve_batch never affects results, so like threads it stays out of
-  // the config fingerprint: a snapshot taken while batching can restore
-  // into a sequential loop (and vice versa) and finish bit-identical to
-  // an uninterrupted run. The batch stats themselves ride the snapshot
-  // so /status stays continuous.
-  ServeConfig batched_cfg = small_config();
-  batched_cfg.serve_batch = 1;
-  ServeLoop uninterrupted(*experiment_, batched_cfg);
+  // The cross-session batch stats (panels, windows, occupancy histogram)
+  // cannot be replayed from the completed log, so they ride the snapshot
+  // wholesale: restored into a loop with a different thread count, /status
+  // and the histogram continue exactly where the saved loop stopped, and
+  // the finished run matches an uninterrupted one.
+  ServeConfig cfg = small_config();
+  cfg.threads = 1;
+  ServeLoop uninterrupted(*experiment_, cfg);
   uninterrupted.drain(/*chunk=*/5);
   const auto full_log = uninterrupted.completed_sessions();
-  ASSERT_EQ(full_log.size(), batched_cfg.users);
+  ASSERT_EQ(full_log.size(), cfg.users);
 
-  const std::string path = temp_path("serve_batch_mode.snap");
-  ServeLoop first(*experiment_, batched_cfg);
+  const std::string path = temp_path("batch_stats.snap");
+  ServeLoop first(*experiment_, cfg);
   first.tick(13);
   ASSERT_FALSE(first.done());
   const auto saved_status = first.status();
-  EXPECT_TRUE(saved_status.serve_batch);
+  const auto saved_occupancy =
+      first.metrics().histogram_value("serve.batch_occupancy");
   EXPECT_GT(saved_status.batch_panels, 0u);
   first.save(path);
 
-  ServeConfig sequential_cfg = small_config();
-  sequential_cfg.serve_batch = 0;
-  ServeLoop second(*experiment_, sequential_cfg);
+  ServeConfig other_threads = cfg;
+  other_threads.threads = 4;
+  ServeLoop second(*experiment_, other_threads);
   second.restore(path);
-  EXPECT_FALSE(second.serve_batch());
-  // Panel stats from the batched half survive the restore...
   EXPECT_EQ(second.status().batch_panels, saved_status.batch_panels);
   EXPECT_EQ(second.status().batch_windows, saved_status.batch_windows);
+  EXPECT_EQ(second.status().batch_mean_occupancy,
+            saved_status.batch_mean_occupancy);
+  const auto restored_occupancy =
+      second.metrics().histogram_value("serve.batch_occupancy");
+  EXPECT_EQ(restored_occupancy.count, saved_occupancy.count);
+  EXPECT_EQ(restored_occupancy.sum, saved_occupancy.sum);
+  EXPECT_EQ(restored_occupancy.buckets, saved_occupancy.buckets);
   second.drain(/*chunk=*/5);
-  // ...and the sequential second half completes the same fleet.
   expect_same_completed(second.completed_sessions(), full_log);
+  EXPECT_EQ(second.status().batch_panels, uninterrupted.status().batch_panels);
+  EXPECT_EQ(second.status().batch_windows,
+            uninterrupted.status().batch_windows);
   std::remove(path.c_str());
 }
 
