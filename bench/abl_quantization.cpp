@@ -28,8 +28,8 @@ int main(int argc, char** argv) {
       const auto si = static_cast<std::size_t>(s);
       if (bits > 0) nn::quantize_weights(models[si], bits);
       const auto cost =
-          bits > 0 ? nn::estimate_quantized_cost(models[si], input_shape, bits,
-                                                 exp.config().pipeline.profile)
+          bits > 0 ? nn::estimate_cost_at_bits(models[si], input_shape, bits,
+                                               exp.config().pipeline.profile)
                    : nn::estimate_cost(models[si], input_shape,
                                        exp.config().pipeline.profile);
       energy += cost.energy_j / data::kNumSensors;
@@ -41,13 +41,11 @@ int main(int argc, char** argv) {
 
     // End-to-end: same harvest, cheaper inferences. NOTE: the simulator
     // recomputes each node's cost from the (quantized) deployed model via
-    // the float profile; to credit the quantized MACs we scale the compute
-    // profile instead.
+    // its compute profile; to credit the quantized MACs we give it the
+    // quantized profile.
     sim::SimulatorConfig cfg = exp.sim_config();
     if (bits > 0) {
-      const double width_ratio = bits / 32.0;
-      cfg.node.compute.energy_per_mac_j *= (bits * bits) / (24.0 * 24.0);
-      cfg.node.compute.energy_per_param_access_j *= width_ratio;
+      cfg.node.compute = nn::quantized_profile(cfg.node.compute, bits);
     }
     auto policy = exp.make_policy(sim::PolicyKind::Origin, 12);
     sim::Simulator sim(exp.spec(), std::move(models), &exp.trace(),

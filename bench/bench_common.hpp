@@ -72,8 +72,8 @@ class JsonReport {
       if (!std::strcmp(argv[i], "--json")) path_ = argv[i + 1];
     }
     // Every bench manifest records which kernel backend produced its
-    // numbers — bench_history.sh refuses to tolerance-compare rows from
-    // different backends.
+    // numbers: SIMD and reference backends round differently, so a
+    // number is only comparable with others from the same backend.
     manifest_.set("kernel_backend",
                   std::string(nn::kernels::active_backend().name));
     manifest_.set("simd", nn::kernels::simd_features());

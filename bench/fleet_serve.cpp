@@ -98,8 +98,6 @@ int main(int argc, char** argv) {
   args.add("backend", &backend,
            "kernel backend: reference|avx2|neon|auto (default keeps "
            "ORIGIN_BACKEND or reference)");
-  args.add("bits", &base.bits,
-           "inference word width: 32 (float) or 2..8 (int8 serving path)");
   args.add("json", &json_path, "write a run manifest JSON here");
   try {
     if (!args.parse(argc, argv)) return 0;
@@ -131,7 +129,6 @@ int main(int argc, char** argv) {
   report.manifest().set("shards", std::uint64_t{base.shards});
   report.manifest().set("policy", to_string(base.policy));
   report.manifest().set("set", to_string(base.set));
-  report.manifest().set("bits", base.bits);
 
   auto config = bench::default_config(data::DatasetKind::MHealthLike);
   config.stream_slots = slots;

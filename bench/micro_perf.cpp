@@ -30,15 +30,9 @@ using namespace origin;
 
 namespace {
 
-/// `--bits` (default 32): inference word width applied to every
-/// deployed-net benchmark. The int8 benchmark below pins 8 regardless.
-int g_bits = 32;
-
 nn::Sequential deployed_net() {
   const auto spec = data::dataset_spec(data::DatasetKind::MHealthLike);
-  auto net = core::make_bl1_architecture(spec, 42);
-  if (g_bits != 32) net.set_inference_bits(g_bits);
-  return net;
+  return core::make_bl1_architecture(spec, 42);
 }
 
 /// BL-2-like network: the BL-1 architecture pruned to 45% of its
@@ -127,23 +121,6 @@ void BM_PredictBatchBL2(benchmark::State& state) {
                           static_cast<std::int64_t>(windows.size()));
 }
 BENCHMARK(BM_PredictBatchBL2)->Arg(1)->Arg(8)->Arg(40);
-
-/// The int8 serving path over the same batch: per-sample activation
-/// quantization + int32-accumulation GEMMs (backend-invariant bits).
-void BM_PredictBatchInt8(benchmark::State& state) {
-  auto net = deployed_net();
-  net.set_inference_bits(8);
-  const auto windows =
-      random_windows(static_cast<std::size_t>(state.range(0)), 6);
-  std::vector<const nn::Tensor*> ptrs;
-  for (const auto& w : windows) ptrs.push_back(&w);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(net.predict_batch(ptrs.data(), ptrs.size()));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(windows.size()));
-}
-BENCHMARK(BM_PredictBatchInt8)->Arg(32);
 
 /// The kernel path (im2row + blocked GEMM) of one mid-network conv stage.
 void BM_Im2RowGemm(benchmark::State& state) {
@@ -524,21 +501,9 @@ int main(int argc, char** argv) {
       ++i;
       continue;
     }
-    if (i + 1 < argc && !std::strcmp(argv[i], "--bits")) {
-      g_bits = std::atoi(argv[i + 1]);
-      if (g_bits != 32 && (g_bits < 2 || g_bits > 8)) {
-        std::fprintf(stderr,
-                     "micro_perf: --bits must be 32 or in [2, 8], got %d\n",
-                     g_bits);
-        return 2;
-      }
-      ++i;
-      continue;
-    }
     args.push_back(argv[i]);
   }
   origin::bench::JsonReport report(argc, argv, "micro_perf");
-  report.manifest().set("bits", g_bits);
   register_backend_variants();
   int bench_argc = static_cast<int>(args.size());
   benchmark::Initialize(&bench_argc, args.data());

@@ -44,7 +44,7 @@ int main() {
     nn::Sequential q = model;
     const auto report = nn::quantize_weights(q, bits);
     const auto cost =
-        nn::estimate_quantized_cost(q, {spec.channels, spec.window_len}, bits);
+        nn::estimate_cost_at_bits(q, {spec.channels, spec.window_len}, bits);
     std::printf("int%d:    accuracy %.1f %%, energy %.2f uJ/inference "
                 "(rms weight error %.4f)\n",
                 bits, 100.0 * nn::Trainer::evaluate(q, test).accuracy,

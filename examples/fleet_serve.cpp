@@ -73,10 +73,8 @@ int main(int argc, char** argv) {
   args.add("backend", &backend,
            "kernel backend: reference|avx2|neon|auto (auto = best available; "
            "default keeps ORIGIN_BACKEND or reference)");
-  args.add("bits", &serve_config.bits,
-           "inference word width: 32 (float) or 2..8 (int8 serving path)");
   args.add_switch("fine-tune", &serve_config.personalize.enabled,
-                  "bounded per-user fine-tuning (requires --bits 32)");
+                  "bounded per-user fine-tuning");
   args.add("ft-budget", &serve_config.personalize.step_budget,
            "fine-tune optimizer-step budget per sensor net");
   args.add("ft-cadence", &serve_config.personalize.cadence_slots,
@@ -139,7 +137,6 @@ int main(int argc, char** argv) {
   manifest.set("kernel_backend",
                std::string(nn::kernels::active_backend().name));
   manifest.set("simd", nn::kernels::simd_features());
-  manifest.set("bits", serve_config.bits);
   manifest.set("fine_tune", serve_config.personalize.enabled);
   if (serve_config.personalize.enabled) {
     manifest.set("ft_budget", serve_config.personalize.step_budget);

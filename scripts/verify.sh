@@ -31,7 +31,8 @@
 #             ephemeral port and curl the JSON/JSONL routes.
 #   backends — the kernel-backend dispatch suite (label `backends`:
 #             per-backend golden checksums, cross-backend tolerance grid,
-#             int8-vs-float accuracy gate, serve bit-identity per backend)
+#             fake-quant-vs-float accuracy gate, serve bit-identity per
+#             backend)
 #             under both ORIGIN_BACKEND=reference and ORIGIN_BACKEND=auto
 #             (= best SIMD available), in Release and Release+ASan.
 #   personalize — the per-user personalization suite (label `personalize`:
@@ -44,9 +45,12 @@
 #   undefined — the whole test suite built with -fsanitize=undefined and
 #             -fno-sanitize-recover=undefined, so any UB report fails
 #             its test.
+#   thread  — the concurrent tiers (labels serve, fleet, obs-fleet,
+#             personalize) built with -fsanitize=thread and run with
+#             halt_on_error=1, so any data-race report fails its test.
 #   all     — everything above (default).
 #
-# Usage: scripts/verify.sh [data|kernels|train|trace|obs|serve|backends|personalize|undefined|all] [generator-args...]
+# Usage: scripts/verify.sh [data|kernels|train|trace|obs|serve|backends|personalize|undefined|thread|all] [generator-args...]
 # The data/kernels/train/obs/serve gates share the
 # build-kernels-{release,asan}/ trees so a full `all` run configures each
 # tree once; the trace gate owns build-trace-{on,off}/.
@@ -260,7 +264,7 @@ verify_backends_config() {
   # Once under the reference backend and once under the best SIMD backend
   # the build/machine offers ("auto" = reference when SIMD is compiled out
   # or unsupported): the suite's golden checksums, cross-backend tolerance
-  # grid and int8 accuracy gate must hold from either starting point.
+  # grid and fake-quant accuracy gate must hold from either starting point.
   ORIGIN_BACKEND=reference \
       ctest --test-dir "$dir" -L backends --output-on-failure
   ORIGIN_BACKEND=auto \
@@ -307,6 +311,20 @@ verify_undefined() {
   echo "=== undefined behaviour verified (full suite, no UBSan report) ==="
 }
 
+verify_thread() {
+  local dir="build-tsan"
+  echo "=== thread: concurrent tiers under TSan (${dir}) ==="
+  cmake -B "$dir" -S "$repo" -DORIGIN_SANITIZE=thread "$@" >/dev/null
+  # Only the suites the label filter selects; unbuilt test binaries carry
+  # no label, so ctest -L skips them.
+  cmake --build "$dir" -j "$jobs" --target test_serve test_serve_snapshot \
+      test_fleet test_fleet_runner test_obs test_flight test_personalize
+  TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
+      ctest --test-dir "$dir" -L 'serve|fleet|obs|personalize' \
+          --output-on-failure -j "$jobs"
+  echo "=== threads verified (concurrent tiers, no TSan report) ==="
+}
+
 case "$gate" in
   data)    verify_data "$@" ;;
   kernels) verify_kernels "$@" ;;
@@ -317,6 +335,7 @@ case "$gate" in
   backends) verify_backends "$@" ;;
   personalize) verify_personalize "$@" ;;
   undefined) verify_undefined "$@" ;;
+  thread)  verify_thread "$@" ;;
   all)
     verify_data "$@"
     verify_kernels "$@"
@@ -327,10 +346,11 @@ case "$gate" in
     verify_backends "$@"
     verify_personalize "$@"
     verify_undefined "$@"
+    verify_thread "$@"
     echo "=== all verification gates passed ==="
     ;;
   *)
-    echo "usage: scripts/verify.sh [data|kernels|train|trace|obs|serve|backends|personalize|undefined|all] [generator-args...]" >&2
+    echo "usage: scripts/verify.sh [data|kernels|train|trace|obs|serve|backends|personalize|undefined|thread|all] [generator-args...]" >&2
     exit 2
     ;;
 esac

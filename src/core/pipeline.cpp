@@ -339,7 +339,7 @@ void calibrate_system(TrainedSystem& system, const PipelineConfig& config) {
 
   // Stage 2: measurement, one task per (sensor, model variant) — task k
   // is sensor k%3, variant k/3, so each task owns one model exclusively
-  // (batched inference keeps per-thread arenas, but the int8 and panel
+  // (batched inference keeps per-thread arenas, but the activation
   // caches live in the model). Both passes run on the batched paths,
   // which are pinned bit-identical to the per-sample oracles.
   auto measure = [&](std::size_t k) {

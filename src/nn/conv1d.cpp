@@ -63,18 +63,6 @@ Tensor Conv1D::forward(const Tensor& input, bool train) {
                                   static_cast<std::size_t>(kd) * out_len);
   kernels::im2row(input.data(), cin_, input.dim(1), k_, stride_, out_len,
                   panel, static_cast<std::size_t>(out_len));
-  if (!train && qbits_ != 32) {
-    // Int8 serving path: quantize the packed activation panel per sample
-    // (dynamic symmetric 8-bit — the panel holds exactly the values the
-    // reduction reads, so its max is the right scale), then the exact
-    // int32-accumulation GEMM. Bit-identical on every backend.
-    const std::size_t pn = static_cast<std::size_t>(kd) * out_len;
-    std::int8_t* qpanel = kernels::scratch_i8(pn);
-    const float xscale = kernels::quantize_to_i8(panel, pn, 8, qpanel);
-    kernels::gemm_bias_i8(qweight_.data(), bias_.data(), qpanel, out.data(),
-                          cout_, kd, out_len, qscale_ * xscale);
-    return out;
-  }
   kernels::gemm_bias(weight_.data(), bias_.data(), panel, out.data(), cout_,
                      kd, out_len);
   return out;
@@ -83,15 +71,6 @@ Tensor Conv1D::forward(const Tensor& input, bool train) {
 void Conv1D::forward_batch(const Tensor* const* inputs, std::size_t count,
                            Tensor* outputs) {
   if (count == 0) return;
-  if (qbits_ != 32) {
-    // Quantized mode scales activations per sample, so the batched wide
-    // panel (one shared scale) would change bits vs. the single-sample
-    // path. Route per sample to keep batch == single trivially exact.
-    for (std::size_t b = 0; b < count; ++b) {
-      outputs[b] = forward(*inputs[b], false);
-    }
-    return;
-  }
   const int out_len = checked_out_length(*inputs[0]);
   const int in_len = inputs[0]->dim(1);
   for (std::size_t b = 1; b < count; ++b) {
@@ -306,27 +285,7 @@ std::unique_ptr<Layer> Conv1D::clone() const {
   auto copy = std::make_unique<Conv1D>(cin_, cout_, k_, stride_);
   copy->weight_ = weight_;
   copy->bias_ = bias_;
-  copy->qweight_ = qweight_;
-  copy->qscale_ = qscale_;
-  copy->qbits_ = qbits_;
   return copy;
-}
-
-void Conv1D::set_inference_bits(int bits) {
-  if (bits == 32) {
-    qbits_ = 32;
-    qweight_.clear();
-    qscale_ = 0.0f;
-    return;
-  }
-  if (bits < 2 || bits > 8) {
-    throw std::invalid_argument(
-        "Conv1D::set_inference_bits: bits must be 32 or in [2, 8]");
-  }
-  qweight_.resize(weight_.size());
-  qscale_ = kernels::quantize_to_i8(weight_.data(), weight_.size(), bits,
-                                    qweight_.data());
-  qbits_ = bits;
 }
 
 std::vector<int> Conv1D::output_shape(const std::vector<int>& input) const {
@@ -377,9 +336,6 @@ void Conv1D::remove_output_filter(int f) {
   bias_ = std::move(new_b);
   grad_weight_ = Tensor({cout_, cin_, k_});
   grad_bias_ = Tensor({cout_});
-  qbits_ = 32;
-  qweight_.clear();
-  qscale_ = 0.0f;
 }
 
 void Conv1D::remove_input_channel(int c) {
@@ -399,9 +355,6 @@ void Conv1D::remove_input_channel(int c) {
   cin_ = new_cin;
   weight_ = std::move(new_w);
   grad_weight_ = Tensor({cout_, cin_, k_});
-  qbits_ = 32;
-  qweight_.clear();
-  qscale_ = 0.0f;
 }
 
 }  // namespace origin::nn

@@ -55,14 +55,6 @@ class Conv1D : public Layer {
   std::vector<Tensor*> params() override { return {&weight_, &bias_}; }
   std::vector<Tensor*> grads() override { return {&grad_weight_, &grad_bias_}; }
 
-  /// Int8 serving mode (see Layer): weights quantized on the symmetric
-  /// `bits` grid into int8 storage; inference forwards run im2row +
-  /// per-sample activation quantization + the int32-accumulation GEMM.
-  /// Training forwards keep using the float weights. Pruning surgery
-  /// resets the mode to 32 (the quantized copy would be stale).
-  void set_inference_bits(int bits) override;
-  int inference_bits() const override { return qbits_; }
-
   std::string kind() const override { return "conv1d"; }
   std::string describe() const override;
   std::unique_ptr<Layer> clone() const override;
@@ -101,11 +93,6 @@ class Conv1D : public Layer {
   Tensor grad_weight_;
   Tensor grad_bias_;
   Tensor last_input_;   // [cin, L]
-  /// Int8 serving mode: weight codes on the symmetric qbits_ grid, their
-  /// scale, and the mode flag (32 = float path).
-  std::vector<std::int8_t> qweight_;
-  float qscale_ = 0.0f;
-  int qbits_ = 32;
   /// Batched-training cache: the wide im2row panel [cin*k, count*out_len]
   /// of the last forward_batch_train, plus its geometry.
   std::vector<float> train_panel_;

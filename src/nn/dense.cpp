@@ -39,17 +39,6 @@ Tensor Dense::forward(const Tensor& input, bool train) {
     last_input_ = Tensor();
   }
   Tensor out({out_});
-  if (!train && qbits_ != 32) {
-    // Int8 serving path: dynamic symmetric 8-bit activation quantization +
-    // the exact int32-accumulation GEMM with n == 1. Bit-identical on
-    // every backend.
-    std::int8_t* qx = kernels::scratch_i8(static_cast<std::size_t>(in_));
-    const float xscale = kernels::quantize_to_i8(
-        input.data(), static_cast<std::size_t>(in_), 8, qx);
-    kernels::gemm_bias_i8(qweight_.data(), bias_.data(), qx, out.data(), out_,
-                          in_, 1, qscale_ * xscale);
-    return out;
-  }
   kernels::matvec_bias(weight_.data(), bias_.data(), input.data(), out.data(),
                        out_, in_);
   return out;
@@ -58,14 +47,6 @@ Tensor Dense::forward(const Tensor& input, bool train) {
 void Dense::forward_batch(const Tensor* const* inputs, std::size_t count,
                           Tensor* outputs) {
   if (count == 0) return;
-  if (qbits_ != 32) {
-    // Quantized mode scales activations per sample; route per sample to
-    // keep batch == single trivially exact (see Conv1D::forward_batch).
-    for (std::size_t b = 0; b < count; ++b) {
-      outputs[b] = forward(*inputs[b], false);
-    }
-    return;
-  }
   for (std::size_t b = 0; b < count; ++b) {
     if (static_cast<int>(inputs[b]->size()) != in_) {
       throw std::invalid_argument("Dense::forward_batch: expected " +
@@ -250,27 +231,7 @@ std::unique_ptr<Layer> Dense::clone() const {
   auto copy = std::make_unique<Dense>(in_, out_);
   copy->weight_ = weight_;
   copy->bias_ = bias_;
-  copy->qweight_ = qweight_;
-  copy->qscale_ = qscale_;
-  copy->qbits_ = qbits_;
   return copy;
-}
-
-void Dense::set_inference_bits(int bits) {
-  if (bits == 32) {
-    qbits_ = 32;
-    qweight_.clear();
-    qscale_ = 0.0f;
-    return;
-  }
-  if (bits < 2 || bits > 8) {
-    throw std::invalid_argument(
-        "Dense::set_inference_bits: bits must be 32 or in [2, 8]");
-  }
-  qweight_.resize(weight_.size());
-  qscale_ = kernels::quantize_to_i8(weight_.data(), weight_.size(), bits,
-                                    qweight_.data());
-  qbits_ = bits;
 }
 
 std::vector<int> Dense::output_shape(const std::vector<int>& input) const {
@@ -300,9 +261,6 @@ void Dense::remove_input_block(int begin, int count) {
   in_ = new_in;
   weight_ = std::move(new_w);
   grad_weight_ = Tensor({out_, in_});
-  qbits_ = 32;
-  qweight_.clear();
-  qscale_ = 0.0f;
 }
 
 void Dense::remove_output_unit(int index) {
@@ -324,9 +282,6 @@ void Dense::remove_output_unit(int index) {
   bias_ = std::move(new_b);
   grad_weight_ = Tensor({out_, in_});
   grad_bias_ = Tensor({out_});
-  qbits_ = 32;
-  qweight_.clear();
-  qscale_ = 0.0f;
 }
 
 }  // namespace origin::nn

@@ -52,14 +52,6 @@ class Dense : public Layer {
   std::vector<Tensor*> params() override { return {&weight_, &bias_}; }
   std::vector<Tensor*> grads() override { return {&grad_weight_, &grad_bias_}; }
 
-  /// Int8 serving mode (see Layer): weights quantized on the symmetric
-  /// `bits` grid into int8 storage; inference forwards run per-sample
-  /// activation quantization + the int32-accumulation GEMM (n == 1).
-  /// Training forwards keep using the float weights. Pruning surgery
-  /// resets the mode to 32 (the quantized copy would be stale).
-  void set_inference_bits(int bits) override;
-  int inference_bits() const override { return qbits_; }
-
   std::string kind() const override { return "dense"; }
   std::string describe() const override;
   std::unique_ptr<Layer> clone() const override;
@@ -90,11 +82,6 @@ class Dense : public Layer {
   Tensor grad_weight_;  // [out, in]
   Tensor grad_bias_;    // [out]
   Tensor last_input_;   // [in]
-  /// Int8 serving mode: weight codes on the symmetric qbits_ grid, their
-  /// scale, and the mode flag (32 = float path).
-  std::vector<std::int8_t> qweight_;
-  float qscale_ = 0.0f;
-  int qbits_ = 32;
   /// Batched-training cache: the [in, count] input panel of the last
   /// forward_batch_train (sample b in column b).
   std::vector<float> train_panel_;

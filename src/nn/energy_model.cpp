@@ -4,11 +4,26 @@
 
 namespace origin::nn {
 
-namespace {
+ComputeProfile quantized_profile(const ComputeProfile& profile, int bits) {
+  if (bits == 32) return profile;
+  if (bits < 2 || bits > 16) {
+    throw std::invalid_argument(
+        "quantized_profile: bits must be 32 or in [2, 16]");
+  }
+  // MAC energy scales roughly with multiplier area ~ width^2 relative to a
+  // float32 (24-bit mantissa) multiplier; memory traffic scales linearly
+  // with word width.
+  const double width_ratio = static_cast<double>(bits) / 32.0;
+  const double mac_ratio = (static_cast<double>(bits) * bits) / (24.0 * 24.0);
+  ComputeProfile quantized = profile;
+  quantized.energy_per_mac_j *= mac_ratio;
+  quantized.energy_per_param_access_j *= width_ratio;
+  return quantized;
+}
 
-InferenceCost cost_with_profile(const Sequential& model,
-                                const std::vector<int>& input_shape,
-                                const ComputeProfile& profile) {
+InferenceCost estimate_cost(const Sequential& model,
+                            const std::vector<int>& input_shape,
+                            const ComputeProfile& profile) {
   InferenceCost cost;
   std::vector<int> shape = input_shape;
   for (std::size_t i = 0; i < model.layer_count(); ++i) {
@@ -30,38 +45,11 @@ InferenceCost cost_with_profile(const Sequential& model,
   return cost;
 }
 
-}  // namespace
-
-ComputeProfile quantized_profile(const ComputeProfile& profile, int bits) {
-  if (bits == 32) return profile;
-  if (bits < 2 || bits > 16) {
-    throw std::invalid_argument(
-        "quantized_profile: bits must be 32 or in [2, 16]");
-  }
-  // MAC energy scales roughly with multiplier area ~ width^2 relative to a
-  // float32 (24-bit mantissa) multiplier; memory traffic scales linearly
-  // with word width.
-  const double width_ratio = static_cast<double>(bits) / 32.0;
-  const double mac_ratio = (static_cast<double>(bits) * bits) / (24.0 * 24.0);
-  ComputeProfile quantized = profile;
-  quantized.energy_per_mac_j *= mac_ratio;
-  quantized.energy_per_param_access_j *= width_ratio;
-  return quantized;
-}
-
-InferenceCost estimate_cost(const Sequential& model,
-                            const std::vector<int>& input_shape,
-                            const ComputeProfile& profile) {
-  return cost_with_profile(model, input_shape,
-                           quantized_profile(profile, model.inference_bits()));
-}
-
 InferenceCost estimate_cost_at_bits(const Sequential& model,
                                     const std::vector<int>& input_shape,
                                     int bits,
                                     const ComputeProfile& profile) {
-  return cost_with_profile(model, input_shape,
-                           quantized_profile(profile, bits));
+  return estimate_cost(model, input_shape, quantized_profile(profile, bits));
 }
 
 double continuous_power_w(const InferenceCost& cost) {

@@ -41,16 +41,15 @@ struct InferenceCost {
 ComputeProfile quantized_profile(const ComputeProfile& profile, int bits);
 
 /// Static cost estimate for one inference of `model` on one sample of
-/// `input_shape`. Honours the model's inference execution mode: a model
-/// switched to int8 serving (Sequential::set_inference_bits) is costed on
-/// the quantized_profile() for its bits automatically.
+/// `input_shape`, on the float32 `profile`.
 InferenceCost estimate_cost(const Sequential& model,
                             const std::vector<int>& input_shape,
                             const ComputeProfile& profile = {});
 
-/// Cost at an explicit word width, regardless of the model's own mode —
+/// Cost at an explicit word width, on quantized_profile(profile, bits) —
 /// the what-if query quantization sweeps ask ("what would this float
-/// model cost deployed at `bits`?").
+/// model cost deployed at `bits`?"). Throws std::invalid_argument unless
+/// bits is 32 or in [2, 16].
 InferenceCost estimate_cost_at_bits(const Sequential& model,
                                     const std::vector<int>& input_shape,
                                     int bits,

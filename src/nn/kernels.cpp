@@ -1,11 +1,9 @@
 // Dispatch layer: the kernels:: free functions forward through the
-// active Backend (nn/kernels/backend.hpp). The scratch workspace and the
-// activation quantizer live here — they are backend-independent, so
-// their behavior never varies with dispatch.
+// active Backend (nn/kernels/backend.hpp). The scratch workspace lives
+// here — it is backend-independent, so its behavior never varies with
+// dispatch.
 #include "nn/kernels.hpp"
 
-#include <cmath>
-#include <cstring>
 #include <vector>
 
 #include "nn/kernels/backend.hpp"
@@ -16,7 +14,6 @@ namespace {
 
 struct Workspace {
   std::vector<float> slots[static_cast<int>(Slot::kCount)];
-  std::vector<std::int8_t> i8;
 };
 
 Workspace& workspace() {
@@ -30,36 +27,6 @@ float* scratch(Slot slot, std::size_t count) {
   std::vector<float>& buf = workspace().slots[static_cast<int>(slot)];
   if (buf.size() < count) buf.resize(count);
   return buf.data();
-}
-
-std::int8_t* scratch_i8(std::size_t count) {
-  std::vector<std::int8_t>& buf = workspace().i8;
-  if (buf.size() < count) buf.resize(count);
-  return buf.data();
-}
-
-float quantize_to_i8(const float* x, std::size_t count, int bits,
-                     std::int8_t* q) {
-  float max_abs = 0.0f;
-  for (std::size_t i = 0; i < count; ++i) {
-    max_abs = std::max(max_abs, std::fabs(x[i]));
-  }
-  if (max_abs == 0.0f) {
-    std::memset(q, 0, count);
-    return 0.0f;
-  }
-  // Same symmetric grid as quantize_tensor (nn/quantize.cpp): scale and
-  // rounding in double so the stored codes match the fake-quant codes
-  // for the same tensor and bits.
-  const int levels = (1 << (bits - 1)) - 1;
-  const double scale = static_cast<double>(max_abs) / levels;
-  for (std::size_t i = 0; i < count; ++i) {
-    double v = std::round(x[i] / scale);
-    if (v > levels) v = levels;
-    if (v < -levels) v = -levels;
-    q[i] = static_cast<std::int8_t>(v);
-  }
-  return static_cast<float>(scale);
 }
 
 void im2row(const float* x, int cin, int in_len, int kernel, int stride,
@@ -95,12 +62,6 @@ void conv1d_grad_input(const float* w, const float* gy, float* gx, int cin,
                        int out_len, std::size_t ldg) {
   active_backend().conv1d_grad_input(w, gy, gx, cin, cout, kernel, stride,
                                      in_len, out_len, ldg);
-}
-
-void gemm_bias_i8(const std::int8_t* a, const float* bias,
-                  const std::int8_t* p, float* c, int m, int kd, int n,
-                  float scale) {
-  active_backend().gemm_bias_i8(a, bias, p, c, m, kd, n, scale);
 }
 
 void synth_channel(const SynthParams& sp, const double* t, double* clean,

@@ -31,7 +31,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 
 #include "nn/kernels/backend.hpp"
 
@@ -105,30 +104,6 @@ void row_sum_acc(const float* a, float* y, int m, int n, std::size_t lda);
 void conv1d_grad_input(const float* w, const float* gy, float* gx, int cin,
                        int cout, int kernel, int stride, int in_len,
                        int out_len, std::size_t ldg);
-
-/// Borrowed pointer to `count` bytes of thread-local int8 scratch (the
-/// quantized-activation panel of the int8 serving path). Same lifetime
-/// rules as scratch().
-std::int8_t* scratch_i8(std::size_t count);
-
-/// Symmetric per-tensor quantization of `count` floats onto the
-/// (1 << (bits-1)) - 1 level grid — the same grid quantize_tensor
-/// (nn/quantize.hpp) fake-quantizes onto. Writes the int8 codes to `q`
-/// and returns the scale (0 when the tensor is all-zero, with q zeroed).
-/// Backend-independent: scale search and rounding are scalar double
-/// arithmetic, so codes are identical on every backend.
-float quantize_to_i8(const float* x, std::size_t count, int bits,
-                     std::int8_t* q);
-
-/// Quantized GEMM of the int8 serving path:
-///   C[m x n] = broadcast(bias[m]) + scale * (A[m x kd] * P[kd x n])
-/// with A and P int8 and the reduction in exact int32 (127*127*kd stays
-/// far below 2^31). `scale` is weight_scale * activation_scale. The
-/// dequantization is mul-then-add — never fused — so this kernel is
-/// bit-identical across ALL backends, not just within one.
-void gemm_bias_i8(const std::int8_t* a, const float* bias,
-                  const std::int8_t* p, float* c, int m, int kd, int n,
-                  float scale);
 
 /// The window-synthesis inner loop (SignalModel::synthesize_window's
 /// deterministic pass): fills clean[0..len) from the time grid t[0..len)

@@ -1,8 +1,8 @@
 // Runtime-dispatched kernel backends.
 //
 // A Backend is a table of function pointers covering every hot-path
-// kernel: the im2row/GEMM family (nn/kernels.hpp), the int8 serving
-// GEMM, and the window-synthesis inner loop (data/signal_model.cpp).
+// kernel: the im2row/GEMM family (nn/kernels.hpp) and the
+// window-synthesis inner loop (data/signal_model.cpp).
 // The scalar "reference" backend is always available and is the oracle
 // every other backend is tested against. SIMD backends (AVX2/FMA on
 // x86-64, NEON on aarch64) are compiled when the toolchain supports the
@@ -18,9 +18,6 @@
 //   * ACROSS backends, float outputs agree only to tolerance (fused vs
 //     unfused rounding); equivalence is gated by tolerance + accuracy-
 //     identical classification tests (tests/test_backends.cpp).
-//   * The int8 GEMM is bit-identical across ALL backends: the int32
-//     accumulation is exact and the dequantization is a fixed
-//     mul-then-add (never fused).
 //
 // The active backend defaults to "reference" so every existing golden
 // number is unchanged; opt into SIMD via ORIGIN_BACKEND=avx2|neon|auto
@@ -28,7 +25,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -62,8 +58,8 @@ struct SynthParams {
 };
 
 /// Kernel table. All float kernels follow the accumulation-order
-/// contract documented in nn/kernels.hpp; gemm_bias_i8 and synth_channel
-/// are documented at their dispatch wrappers (kernels.hpp).
+/// contract documented in nn/kernels.hpp; synth_channel is documented at
+/// its dispatch wrapper (kernels.hpp).
 struct Backend {
   const char* name;
 
@@ -81,9 +77,6 @@ struct Backend {
   void (*conv1d_grad_input)(const float* w, const float* gy, float* gx,
                             int cin, int cout, int kernel, int stride,
                             int in_len, int out_len, std::size_t ldg);
-  void (*gemm_bias_i8)(const std::int8_t* a, const float* bias,
-                       const std::int8_t* p, float* c, int m, int kd, int n,
-                       float scale);
   void (*synth_channel)(const SynthParams& sp, const double* t, double* clean,
                         int len);
 };

@@ -13,8 +13,7 @@
 //
 // This TU is compiled with "-mavx2;-mfma;-ffp-contract=off": contraction
 // stays off so the only fusions are the explicit ones, keeping the
-// scalar remainders and the int8 dequant (mul-then-add, never fused)
-// exactly as written.
+// scalar remainders exactly as written.
 #include "nn/kernels/backend_detail.hpp"
 
 #if defined(__AVX2__) && defined(__FMA__) && \
@@ -305,43 +304,6 @@ void conv1d_grad_input(const float* w, const float* gy, float* gx, int cin,
   }
 }
 
-void gemm_bias_i8(const std::int8_t* a, const float* bias,
-                  const std::int8_t* p, float* c, int m, int kd, int n,
-                  float scale) {
-  // Integer accumulation is exact and associative, so vectorizing is
-  // free; the dequant stays mul-then-add (no fmadd) so the result is
-  // bit-identical to the reference backend.
-  for (int i = 0; i < m; ++i) {
-    const std::int8_t* arow = a + static_cast<std::size_t>(i) * kd;
-    float* crow = c + static_cast<std::size_t>(i) * n;
-    const __m256 biasv = _mm256_set1_ps(bias[i]);
-    const __m256 scalev = _mm256_set1_ps(scale);
-    int j = 0;
-    for (; j + 8 <= n; j += 8) {
-      __m256i acc = _mm256_setzero_si256();
-      for (int k = 0; k < kd; ++k) {
-        const __m256i av = _mm256_set1_epi32(arow[k]);
-        const __m128i pb = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(
-            p + static_cast<std::size_t>(k) * n + j));
-        acc = _mm256_add_epi32(
-            acc, _mm256_mullo_epi32(av, _mm256_cvtepi8_epi32(pb)));
-      }
-      _mm256_storeu_ps(
-          crow + j,
-          _mm256_add_ps(biasv, _mm256_mul_ps(scalev, _mm256_cvtepi32_ps(acc))));
-    }
-    for (; j < n; ++j) {
-      std::int32_t acc = 0;
-      for (int k = 0; k < kd; ++k) {
-        acc += static_cast<std::int32_t>(arow[k]) *
-               static_cast<std::int32_t>(
-                   p[static_cast<std::size_t>(k) * n + j]);
-      }
-      crow[j] = bias[i] + scale * static_cast<float>(acc);
-    }
-  }
-}
-
 // --- det_sin, fused ---------------------------------------------------
 // The constants are util::det_sin's exactly; the algorithm differs only
 // in fusing each multiply-add. Both the 4-wide vector body and the
@@ -493,7 +455,7 @@ const Backend* avx2_backend() {
       "avx2",           ref::im2row,  gemm_bias,
       matvec_bias,      gemm_acc_nt,  gemm_tn,
       ref::row_sum_acc, conv1d_grad_input,
-      gemm_bias_i8,     synth_channel,
+      synth_channel,
   };
   static const bool supported =
       __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");

@@ -35,9 +35,6 @@ void row_sum_acc(const float* a, float* y, int m, int n, std::size_t lda);
 void conv1d_grad_input(const float* w, const float* gy, float* gx, int cin,
                        int cout, int kernel, int stride, int in_len,
                        int out_len, std::size_t ldg);
-void gemm_bias_i8(const std::int8_t* a, const float* bias,
-                  const std::int8_t* p, float* c, int m, int kd, int n,
-                  float scale);
 void synth_channel(const SynthParams& sp, const double* t, double* clean,
                    int len);
 

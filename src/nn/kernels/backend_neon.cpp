@@ -217,7 +217,7 @@ const Backend* neon_backend() {
       "neon",           ref::im2row,  gemm_bias,
       matvec_bias,      gemm_acc_nt,  gemm_tn,
       ref::row_sum_acc, conv1d_grad_input,
-      ref::gemm_bias_i8, synth_channel,
+      synth_channel,
   };
   return &backend;
 }

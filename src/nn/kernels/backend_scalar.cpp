@@ -322,27 +322,6 @@ void conv1d_grad_input(const float* w, const float* gy, float* gx, int cin,
   }
 }
 
-void gemm_bias_i8(const std::int8_t* a, const float* bias,
-                  const std::int8_t* p, float* c, int m, int kd, int n,
-                  float scale) {
-  // Exact int32 accumulation (127*127*kd stays far below 2^31 at any
-  // plausible layer size), then a dequant that is mul-THEN-add — this TU
-  // is built -ffp-contract=off, so the compiler cannot fuse it and the
-  // int8 path is bit-identical on every backend.
-  for (int i = 0; i < m; ++i) {
-    const std::int8_t* arow = a + static_cast<std::size_t>(i) * kd;
-    float* crow = c + static_cast<std::size_t>(i) * n;
-    for (int j = 0; j < n; ++j) {
-      std::int32_t acc = 0;
-      for (int k = 0; k < kd; ++k) {
-        acc += static_cast<std::int32_t>(arow[k]) *
-               static_cast<std::int32_t>(p[static_cast<std::size_t>(k) * n + j]);
-      }
-      crow[j] = bias[i] + scale * static_cast<float>(acc);
-    }
-  }
-}
-
 void synth_channel(const SynthParams& sp, const double* t, double* clean,
                    int len) {
   // The deterministic waveform pass of SignalModel::synthesize_window,
@@ -395,7 +374,7 @@ const Backend& reference_backend() {
       "reference",          ref::im2row,       ref::gemm_bias,
       ref::matvec_bias,     ref::gemm_acc_nt,  ref::gemm_tn,
       ref::row_sum_acc,     ref::conv1d_grad_input,
-      ref::gemm_bias_i8,    ref::synth_channel,
+      ref::synth_channel,
   };
   return backend;
 }

@@ -67,16 +67,6 @@ class Layer {
   virtual std::vector<Tensor*> params() { return {}; }
   virtual std::vector<Tensor*> grads() { return {}; }
 
-  /// Switch the layer's INFERENCE execution mode: 32 restores the float
-  /// path; bits in [2, 8] makes weight-bearing layers (Conv1D, Dense)
-  /// store weights quantized on the symmetric `bits` grid and execute
-  /// inference forwards with int8 storage + int32-accumulation GEMMs
-  /// (nn/kernels.hpp gemm_bias_i8). Training forwards/backwards always
-  /// use the float weights; parameter-free layers ignore the call.
-  virtual void set_inference_bits(int bits) { (void)bits; }
-  /// The mode set above; 32 for float (and for parameter-free layers).
-  virtual int inference_bits() const { return 32; }
-
   /// Stable identifier used by the serializer / factory.
   virtual std::string kind() const = 0;
   /// Human-readable one-line description for summaries.

@@ -225,18 +225,6 @@ void Sequential::zero_grads() {
   for (Tensor* g : grads()) g->zero();
 }
 
-void Sequential::set_inference_bits(int bits) {
-  for (auto& layer : layers_) layer->set_inference_bits(bits);
-}
-
-int Sequential::inference_bits() const {
-  for (const auto& layer : layers_) {
-    const int bits = layer->inference_bits();
-    if (bits != 32) return bits;
-  }
-  return 32;
-}
-
 std::vector<std::vector<int>> Sequential::shape_trace(
     const std::vector<int>& input) const {
   std::vector<std::vector<int>> trace;

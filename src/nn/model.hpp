@@ -93,14 +93,6 @@ class Sequential {
   std::size_t param_count() const;
   void zero_grads();
 
-  /// Switch every layer's inference execution mode (see Layer): 32 is the
-  /// float path, [2, 8] quantizes weight-bearing layers to int8 storage
-  /// with int32-accumulation GEMMs. Training is unaffected.
-  void set_inference_bits(int bits);
-  /// The active inference mode: the first non-32 layer mode, or 32 when
-  /// the whole model runs float.
-  int inference_bits() const;
-
   /// Shape of the output for a given input shape, and per-layer input
   /// shapes (index i = input shape of layer i; back() = final output).
   std::vector<std::vector<int>> shape_trace(const std::vector<int>& input) const;

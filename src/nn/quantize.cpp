@@ -54,12 +54,4 @@ QuantizationReport quantize_weights(Sequential& model, int bits) {
   return report;
 }
 
-InferenceCost estimate_quantized_cost(const Sequential& model,
-                                      const std::vector<int>& input_shape,
-                                      int bits,
-                                      const ComputeProfile& profile) {
-  check_bits(bits);
-  return estimate_cost_at_bits(model, input_shape, bits, profile);
-}
-
 }  // namespace origin::nn

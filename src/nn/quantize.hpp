@@ -2,8 +2,8 @@
 // affine grids). Deployment on NVM-backed edge inference engines stores
 // weights at reduced precision; this module simulates that numerically
 // (fake-quant: weights are snapped to the b-bit grid but kept as floats,
-// so the regular inference path measures the deployed accuracy) and the
-// energy model can credit the cheaper MACs.
+// so the regular inference path measures the deployed accuracy), and
+// estimate_cost_at_bits (nn/energy_model.hpp) credits the cheaper MACs.
 #pragma once
 
 #include <cstdint>
@@ -29,12 +29,5 @@ QuantizationReport quantize_weights(Sequential& model, int bits);
 
 /// Quantizes one tensor in place; returns its grid scale.
 double quantize_tensor(Tensor& tensor, int bits);
-
-/// Energy of a quantized deployment: MAC and weight-fetch energy scale
-/// with the word width relative to the float32 baseline.
-InferenceCost estimate_quantized_cost(const Sequential& model,
-                                      const std::vector<int>& input_shape,
-                                      int bits,
-                                      const ComputeProfile& profile = {});
 
 }  // namespace origin::nn

@@ -126,7 +126,6 @@ HttpResponse ServeEndpoint::handle(const HttpRequest& request) const {
     w.kv("users", static_cast<std::uint64_t>(loop_->config().users));
     w.kv("done", loop_->done());
     w.kv("backend", nn::kernels::active_backend().name);
-    w.kv("bits", loop_->config().bits);
     w.kv("batch_panels", status.batch_panels);
     w.kv("batch_windows", status.batch_windows);
     w.kv("batch_mean_occupancy", status.batch_mean_occupancy);

@@ -35,14 +35,6 @@ ServeLoop::ServeLoop(const sim::Experiment& experiment, ServeConfig config)
   if (config_.batch_slots != 0) {
     throw std::invalid_argument("ServeLoop: batch_slots must be 0");
   }
-  if (config_.bits != 32 && (config_.bits < 2 || config_.bits > 8)) {
-    throw std::invalid_argument("ServeLoop: bits must be 32 or in [2, 8]");
-  }
-  if (config_.personalize.enabled && config_.bits != 32) {
-    throw std::invalid_argument(
-        "ServeLoop: personalize requires bits == 32 — fine-tuning trains "
-        "float weights, which int8 model copies would not serve");
-  }
 
   admitted_id_ = registry_.add_counter("serve.sessions.admitted");
   completed_id_ = registry_.add_counter("serve.sessions.completed");
@@ -80,7 +72,7 @@ ServeLoop::ServeLoop(const sim::Experiment& experiment, ServeConfig config)
   shards_.reserve(config_.shards);
   for (std::size_t i = 0; i < config_.shards; ++i) {
     shards_.push_back(std::make_unique<SessionShard>(
-        experiment, config_.set, config_.bits, config_.personalize));
+        experiment, config_.set, config_.personalize));
     shards_.back()->set_wall_metrics(registry_.make_shard());
   }
   if (obs::kTraceEnabled && config_.flight_capacity > 0) {

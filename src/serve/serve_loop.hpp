@@ -44,12 +44,6 @@ struct ServeConfig {
   sim::PolicyKind policy = sim::PolicyKind::Origin;
   int rr_cycle = 12;
   sim::ModelSet set = sim::ModelSet::BL2;
-  /// Inference word width for the deployed per-sensor networks: 32 serves
-  /// the float path; [2, 8] switches every shard's model copies to int8
-  /// weight storage + int32-accumulation GEMMs
-  /// (Sequential::set_inference_bits). Changes results, so it is part of
-  /// the snapshot fingerprint.
-  int bits = 32;
   /// Worker threads serving shards; <= 1 serves inline. Never affects
   /// results.
   unsigned threads = 1;
@@ -62,8 +56,6 @@ struct ServeConfig {
   int batch_slots = 0;
   /// In-shard bounded per-user fine-tuning (serve/personalize.hpp).
   /// Changes results, so every field is part of the snapshot fingerprint.
-  /// Requires bits == 32 (fine-tuning trains float weights; int8 copies
-  /// would serve stale quantized weights).
   PersonalizeConfig personalize;
   /// Recent-results ring exposed on /results (older records are dropped;
   /// seq numbers keep the stream gap-free for consumers that care).

@@ -26,15 +26,12 @@ std::uint64_t fnv1a_outputs(const std::vector<int>& outputs) {
 }
 
 SessionShard::SessionShard(const sim::Experiment& experiment,
-                           sim::ModelSet set, int bits,
+                           sim::ModelSet set,
                            const PersonalizeConfig& personalize)
     : models_(set == sim::ModelSet::Relaxed
                   ? experiment.system().relaxed_copy()
                   : experiment.system().bl2_copy()),
       slot_s_(experiment.spec().slot_seconds()) {
-  if (bits != 32) {
-    for (nn::Sequential& model : models_) model.set_inference_bits(bits);
-  }
   if (personalize.enabled) {
     personalizer_ =
         std::make_unique<Personalizer>(experiment, models_, personalize);

@@ -76,12 +76,11 @@ class SessionShard {
  public:
   /// Builds this shard's private copies of the deployed networks for
   /// `set` (inference mutates activation caches, so shards never share).
-  /// `bits` != 32 switches the copies to the int8 serving path
-  /// (Sequential::set_inference_bits). When `personalize.enabled`, the
-  /// shard also keeps pristine base copies and a Personalizer, and its
-  /// model scratch is re-targeted per delta-group before each panel.
+  /// When `personalize.enabled`, the shard also keeps pristine base
+  /// copies and a Personalizer, and its model scratch is re-targeted per
+  /// delta-group before each panel.
   SessionShard(const sim::Experiment& experiment, sim::ModelSet set,
-               int bits = 32, const PersonalizeConfig& personalize = {});
+               const PersonalizeConfig& personalize = {});
 
   std::array<nn::Sequential, data::kNumSensors>* models() { return &models_; }
 

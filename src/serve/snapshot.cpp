@@ -148,12 +148,10 @@ void ServeLoop::save(const std::string& path) const {
   w.i32(config_.rr_cycle);
   w.u32(static_cast<std::uint32_t>(config_.set));
   w.u64(config_.shards);
-  w.i32(config_.bits);
   {
     // The kernel backend changes the served bits (fused SIMD vs unfused
     // scalar float paths round differently), so it fingerprints like any
-    // other workload knob. The int8 path is backend-invariant, but pinning
-    // the name keeps the contract simple and the failure mode loud.
+    // other workload knob.
     const std::string backend = nn::kernels::active_backend().name;
     w.u32(static_cast<std::uint32_t>(backend.size()));
     w.raw(backend.data(), backend.size());
@@ -304,7 +302,6 @@ void ServeLoop::restore(const std::string& path) {
   check(r.i32() == config_.rr_cycle, "rr_cycle");
   check(r.u32() == static_cast<std::uint32_t>(config_.set), "model set");
   check(r.u64() == config_.shards, "shards");
-  check(r.i32() == config_.bits, "bits");
   {
     std::string backend(r.u32(), '\0');
     std::memcpy(backend.data(), r.take(backend.size()), backend.size());

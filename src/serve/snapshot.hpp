@@ -33,7 +33,10 @@ inline constexpr char kSnapshotMagic[8] = {'O', 'R', 'G', 'N',
 /// completed log.
 /// Version 5 dropped the per-node precomputed eager-task result, which
 /// only the removed per-session block cache ever set.
-inline constexpr std::uint32_t kSnapshotVersion = 5;
+/// Version 6 dropped the inference word width from the fingerprint: the
+/// int8 execution mode is gone, so every loop serves the float path. The
+/// kernel backend name stays.
+inline constexpr std::uint32_t kSnapshotVersion = 6;
 
 /// Append-only little-endian byte buffer.
 class SnapshotWriter {

@@ -10,12 +10,13 @@
 //      and batch == single bit-for-bit under every backend.
 //   3. Cross-backend equivalence: backends agree within a small tolerance
 //      (fused vs unfused rounding), never bit-for-bit.
-//   4. Int8 serving path: integer accumulation is exact, so int8 outputs
-//      are bit-identical across ALL backends, and classification accuracy
-//      on a trained fixture's held-out set matches the float path.
+//   4. Fake-quant what-if: 8-bit fake-quantized weights classify a trained
+//      fixture's held-out set exactly as well as the float weights, and
+//      estimate_cost_at_bits credits the 8-bit deployment with less
+//      energy for the same MACs.
 //   5. Serve tier: ServeLoop results are bit-identical across thread
-//      counts under every backend (and under bits=8), and a snapshot
-//      refuses to restore under a different backend or word width.
+//      counts under every backend, and a snapshot refuses to restore
+//      under a different backend.
 //
 // Registered as one ctest entry with LABELS backends (the trained fixture
 // is shared across cases; per-case discovery would retrain it).
@@ -159,7 +160,6 @@ TEST(BackendRegistry, ReferenceAlwaysAvailableAndDefault) {
     EXPECT_NE(b->gemm_tn, nullptr) << b->name;
     EXPECT_NE(b->row_sum_acc, nullptr) << b->name;
     EXPECT_NE(b->conv1d_grad_input, nullptr) << b->name;
-    EXPECT_NE(b->gemm_bias_i8, nullptr) << b->name;
     EXPECT_NE(b->synth_channel, nullptr) << b->name;
   }
 }
@@ -261,71 +261,8 @@ TEST(BackendEquivalence, FloatKernelsAgreeWithinTolerance) {
 }
 
 // ---------------------------------------------------------------------------
-// 4. Int8 serving path
-
-TEST(Int8Path, BitIdenticalAcrossBackends) {
-  const auto spec = data::dataset_spec(data::DatasetKind::MHealthLike);
-  util::Rng rng(55);
-  std::vector<nn::Tensor> windows;
-  for (int i = 0; i < 5; ++i) {
-    windows.push_back(
-        nn::Tensor::randn({spec.channels, spec.window_len}, rng, 1.0f));
-  }
-  std::vector<std::vector<float>> ref_probs;
-  {
-    BackendScope scope("reference");
-    auto net = core::make_bl1_architecture(spec, 88);
-    net.set_inference_bits(8);
-    for (const auto& w : windows) ref_probs.push_back(net.predict_proba(w));
-  }
-  for (const k::Backend* b : k::available_backends()) {
-    BackendScope scope(b->name);
-    auto net = core::make_bl1_architecture(spec, 88);
-    net.set_inference_bits(8);
-    for (std::size_t i = 0; i < windows.size(); ++i) {
-      const auto probs = net.predict_proba(windows[i]);
-      ASSERT_EQ(probs.size(), ref_probs[i].size());
-      for (std::size_t c = 0; c < probs.size(); ++c) {
-        EXPECT_EQ(probs[c], ref_probs[i][c])
-            << b->name << " window " << i << " class " << c;
-      }
-    }
-  }
-}
-
-TEST(Int8Path, RoundTripAndSurgeryReset) {
-  const auto spec = data::dataset_spec(data::DatasetKind::MHealthLike);
-  auto net = core::make_bl1_architecture(spec, 99);
-  util::Rng rng(9);
-  const nn::Tensor x =
-      nn::Tensor::randn({spec.channels, spec.window_len}, rng, 1.0f);
-  const nn::Tensor y_float = net.forward(x, false);
-  EXPECT_EQ(net.inference_bits(), 32);
-
-  net.set_inference_bits(8);
-  EXPECT_EQ(net.inference_bits(), 8);
-  const nn::Tensor y_int8 = net.forward(x, false);
-  bool any_differs = false;
-  for (std::size_t i = 0; i < y_float.size(); ++i) {
-    any_differs = any_differs || y_float[i] != y_int8[i];
-  }
-  EXPECT_TRUE(any_differs) << "int8 path produced the float bits";
-
-  // Clone carries the mode; switching back to 32 restores the float bits.
-  nn::Sequential clone = net;
-  EXPECT_EQ(clone.inference_bits(), 8);
-  net.set_inference_bits(32);
-  const nn::Tensor y_back = net.forward(x, false);
-  for (std::size_t i = 0; i < y_float.size(); ++i) {
-    EXPECT_EQ(y_back[i], y_float[i]);
-  }
-
-  EXPECT_THROW(net.set_inference_bits(1), std::invalid_argument);
-  EXPECT_THROW(net.set_inference_bits(9), std::invalid_argument);
-}
-
-// ---------------------------------------------------------------------------
-// 5. Trained fixture: accuracy + serve tier (shared across cases)
+// 4-5. Trained fixture: fake-quant accuracy + serve tier (shared across
+// cases)
 
 core::PipelineConfig micro_pipeline() {
   core::PipelineConfig cfg;
@@ -396,7 +333,7 @@ int correct_count(std::array<nn::Sequential, data::kNumSensors> models,
   return correct;
 }
 
-TEST_F(TrainedBackendTest, Int8AccuracyMatchesFloatAndFakeQuant) {
+TEST_F(TrainedBackendTest, FakeQuantAccuracyMatchesFloat) {
   const core::TrainedSystem& system = experiment_->system();
   int total = 0;
   for (const auto& set : system.test_sets) {
@@ -406,33 +343,24 @@ TEST_F(TrainedBackendTest, Int8AccuracyMatchesFloatAndFakeQuant) {
 
   const int float_correct = correct_count(system.bl1_copy(), system);
 
-  auto int8_models = system.bl1_copy();
-  for (auto& m : int8_models) m.set_inference_bits(8);
-  const int int8_correct = correct_count(std::move(int8_models), system);
-
   auto fake_models = system.bl1_copy();
   for (auto& m : fake_models) nn::quantize_weights(m, 8);
   const int fake_correct = correct_count(std::move(fake_models), system);
 
-  // The acceptance gate: the int8 serving path classifies the eval set
-  // exactly as well as the float path and the fake-quant simulation.
-  EXPECT_EQ(int8_correct, float_correct) << "of " << total;
+  // The acceptance gate: 8-bit fake-quantized weights classify the eval
+  // set exactly as well as the float weights.
   EXPECT_EQ(fake_correct, float_correct) << "of " << total;
 }
 
-TEST_F(TrainedBackendTest, EnergyModelCreditsInt8Mode) {
+TEST_F(TrainedBackendTest, EnergyModelCreditsEightBitWhatIf) {
   const core::TrainedSystem& system = experiment_->system();
   const std::vector<int> shape = {system.spec.channels,
                                   system.spec.window_len};
-  nn::Sequential float_net = system.sensors[0].bl1;
-  nn::Sequential int8_net = system.sensors[0].bl1;
-  int8_net.set_inference_bits(8);
+  const nn::Sequential& float_net = system.sensors[0].bl1;
   const auto float_cost = nn::estimate_cost(float_net, shape);
-  const auto int8_cost = nn::estimate_cost(int8_net, shape);
-  const auto what_if = nn::estimate_quantized_cost(float_net, shape, 8);
-  EXPECT_LT(int8_cost.energy_j, float_cost.energy_j);
-  EXPECT_DOUBLE_EQ(int8_cost.energy_j, what_if.energy_j);
-  EXPECT_EQ(int8_cost.macs, float_cost.macs);
+  const auto what_if = nn::estimate_cost_at_bits(float_net, shape, 8);
+  EXPECT_LT(what_if.energy_j, float_cost.energy_j);
+  EXPECT_EQ(what_if.macs, float_cost.macs);
 }
 
 TEST_F(TrainedBackendTest, ServeBitIdenticalAcrossThreadsPerBackend) {
@@ -449,46 +377,6 @@ TEST_F(TrainedBackendTest, ServeBitIdenticalAcrossThreadsPerBackend) {
                       std::to_string(threads));
     }
   }
-}
-
-TEST_F(TrainedBackendTest, ServeInt8BitIdenticalAcrossThreadsAndBackends) {
-  std::vector<serve::CompletedSession> reference;
-  {
-    BackendScope scope("reference");
-    serve::ServeConfig cfg = small_config();
-    cfg.bits = 8;
-    cfg.threads = 1;
-    reference = drain(cfg);
-    ASSERT_EQ(reference.size(), cfg.users);
-    cfg.threads = 8;
-    expect_same(reference, drain(cfg), "int8 reference threads=8");
-  }
-  // Integer accumulation is exact, so the int8 serve results are the same
-  // bits under every backend — unlike the float path.
-  for (const k::Backend* b : k::available_backends()) {
-    BackendScope scope(b->name);
-    serve::ServeConfig cfg = small_config();
-    cfg.bits = 8;
-    cfg.threads = 2;
-    expect_same(reference, drain(cfg), std::string("int8 ") + b->name);
-  }
-}
-
-TEST_F(TrainedBackendTest, SnapshotRefusesBitsMismatch) {
-  const std::string path = "test_backends_bits.snap";
-  serve::ServeConfig cfg = small_config();
-  serve::ServeLoop first(*experiment_, cfg);
-  first.tick(4);
-  first.save(path);
-
-  serve::ServeConfig other = cfg;
-  other.bits = 8;
-  serve::ServeLoop second(*experiment_, other);
-  EXPECT_THROW(second.restore(path), std::runtime_error);
-
-  serve::ServeLoop third(*experiment_, cfg);
-  EXPECT_NO_THROW(third.restore(path));
-  std::remove(path.c_str());
 }
 
 TEST_F(TrainedBackendTest, SnapshotRefusesBackendMismatch) {

@@ -488,10 +488,6 @@ TEST_F(PersonalizeTest, SnapshotFingerprintCoversPersonalizeConfig) {
 
 TEST_F(PersonalizeTest, PersonalizeConstraintsValidated) {
   ServeConfig cfg = tuned_config();
-  cfg.bits = 8;
-  EXPECT_THROW(ServeLoop(*experiment_, cfg), std::invalid_argument);
-
-  cfg = tuned_config();
   cfg.personalize.step_budget = 0;
   EXPECT_THROW(ServeLoop(*experiment_, cfg), std::invalid_argument);
   cfg = tuned_config();

@@ -31,7 +31,7 @@ TEST(Quantize, BitsValidation) {
   EXPECT_THROW(quantize_tensor(t, 17), std::invalid_argument);
   auto m = net(1);
   EXPECT_THROW(quantize_weights(m, 0), std::invalid_argument);
-  EXPECT_THROW(estimate_quantized_cost(m, {2, 16}, 1), std::invalid_argument);
+  EXPECT_THROW(estimate_cost_at_bits(m, {2, 16}, 1), std::invalid_argument);
 }
 
 TEST(Quantize, ZeroTensorUntouched) {
@@ -119,26 +119,12 @@ TEST(Quantize, TwoBitDegradesOutputs) {
 TEST(Quantize, QuantizedCostCheaper) {
   auto m = net(10);
   const auto fp32 = estimate_cost(m, {2, 16});
-  const auto int8 = estimate_quantized_cost(m, {2, 16}, 8);
-  const auto int4 = estimate_quantized_cost(m, {2, 16}, 4);
+  const auto int8 = estimate_cost_at_bits(m, {2, 16}, 8);
+  const auto int4 = estimate_cost_at_bits(m, {2, 16}, 4);
   EXPECT_LT(int8.energy_j, fp32.energy_j);
   EXPECT_LT(int4.energy_j, int8.energy_j);
   // MAC count unchanged — only the energy per operation drops.
   EXPECT_EQ(int8.macs, fp32.macs);
-}
-
-TEST(Quantize, CostHonoursInferenceBitsWithoutDoubleScaling) {
-  auto m = net(12);
-  const auto what_if = estimate_quantized_cost(m, {2, 16}, 8);
-  m.set_inference_bits(8);
-  // A model switched to the int8 serving path is costed on the quantized
-  // profile automatically...
-  const auto deployed = estimate_cost(m, {2, 16});
-  EXPECT_DOUBLE_EQ(deployed.energy_j, what_if.energy_j);
-  // ...and the explicit-bits what-if ignores the model's own mode, so
-  // asking about the bits it already runs at does not scale twice.
-  const auto again = estimate_cost_at_bits(m, {2, 16}, 8);
-  EXPECT_DOUBLE_EQ(again.energy_j, what_if.energy_j);
 }
 
 TEST(Quantize, Idempotent) {

@@ -249,6 +249,25 @@ TEST_F(ServeSnapshotTest, CorruptAndTruncatedFilesRejected) {
     EXPECT_THROW(loop.restore(path), std::runtime_error);
   }
 
+  // The previous version, whose fingerprint still carried the inference
+  // word width, is refused by its number rather than misparsed.
+  bad = good;
+  bad[8] = static_cast<char>(kSnapshotVersion - 1);
+  write_file_atomic(path, bad);
+  {
+    ServeLoop loop(*experiment_, cfg);
+    try {
+      loop.restore(path);
+      ADD_FAILURE() << "an older-version snapshot restored";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "unsupported version " +
+                    std::to_string(kSnapshotVersion - 1)),
+                std::string::npos)
+          << e.what();
+    }
+  }
+
   // Truncation.
   write_file_atomic(path, good.substr(0, good.size() / 2));
   {
